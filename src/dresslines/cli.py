@@ -113,6 +113,42 @@ def _check_keys(name, mapping, allowed):
         raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_certify(c):
+    """Validate the certify section: ids, a numeric tolerance and oracle
+    parameters for every id, so that run_certify meets no config error."""
+    _check_keys("certify", c, _SECTION_KEYS["certify"])
+    ids = c.get("ids")
+    if not isinstance(ids, list) or not ids or not all(isinstance(i, str) for i in ids):
+        raise ConfigError("certify.ids must be a non-empty list of closed form ids")
+    known = set(oracle.CLOSED_FORM_IDS)
+    for cid in ids:
+        if cid not in known:
+            raise ConfigError(f"unknown closed form id {cid!r}")
+    tolerances = c.get("tolerances", {})
+    _check_keys("certify.tolerances", tolerances, known)
+    by_id = c.get("parameters_by_id", {})
+    _check_keys("certify.parameters_by_id", by_id, known)
+    default_tol = c.get("tolerance")
+    for tol in (default_tol, *tolerances.values()):
+        if tol is not None and not _is_number(tol):
+            raise ConfigError(f"certify tolerances must be numbers, got {tol!r}")
+    shared = c.get("parameters", {})
+    for cid in ids:
+        if tolerances.get(cid, default_tol) is None:
+            raise ConfigError(f"no tolerance given for {cid!r}")
+        params = by_id.get(cid, {})
+        if not isinstance(shared, dict) or not isinstance(params, dict):
+            raise ConfigError(f"certify parameters for {cid!r} must be objects")
+        try:
+            oracle.check_parameters({**shared, **params})
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"invalid certify parameters for {cid!r}: {e}") from e
+
+
 def load_config(path, job: str) -> JobConfig:
     """Read and validate one JSON config against the declared subcommand."""
     try:
@@ -178,7 +214,10 @@ def load_config(path, job: str) -> JobConfig:
 
     thetas = ()
     if job == "scan":
-        thetas = tuple(float(t) for t in raw.get("thetas", ()))
+        raw_thetas = raw.get("thetas", [])
+        if not isinstance(raw_thetas, list) or not all(map(_is_number, raw_thetas)):
+            raise ConfigError("thetas must be a list of numbers")
+        thetas = tuple(float(t) for t in raw_thetas)
         if len(thetas) < 2:
             raise ConfigError("a theta scan needs at least 2 theta values")
         if any(not 0.0 <= t <= math.pi for t in thetas):
@@ -192,16 +231,8 @@ def load_config(path, job: str) -> JobConfig:
     if job == "certify":
         if "certify" not in raw:
             raise ConfigError("config section 'certify' is required for job 'certify'")
-        _check_keys("certify", raw["certify"], _SECTION_KEYS["certify"])
         certify_cfg = raw["certify"]
-        ids = certify_cfg.get("ids")
-        if not ids:
-            raise ConfigError("certify.ids must list at least one closed form")
-        for cid in ids:
-            if cid not in oracle.CLOSED_FORM_IDS:
-                raise ConfigError(f"unknown closed form id {cid!r}")
-        if "tolerance" not in certify_cfg and "tolerances" not in certify_cfg:
-            raise ConfigError("certify needs 'tolerance' or 'tolerances'")
+        _check_certify(certify_cfg)
 
     return JobConfig(job=job, kind=kind, scheme=scheme, drive=drive, probe=probe,
                      ensemble=ensemble, grid=grid, thetas=thetas,
@@ -432,12 +463,8 @@ def run_certify(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
 
     reports = []
     for cid in ids:
-        tol = tolerances.get(cid, default_tol)
-        if tol is None:
-            raise ConfigError(f"no tolerance given for {cid!r}")
-        params = dict(shared)
-        params.update(by_id.get(cid, {}))
-        reports.append(oracle.certify(cid, params, float(tol)))
+        params = {**shared, **by_id.get(cid, {})}
+        reports.append(oracle.certify(cid, params, float(tolerances.get(cid, default_tol))))
 
     for r in reports:
         verdict = "PASS" if r.passed else "FAIL"

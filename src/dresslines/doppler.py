@@ -95,11 +95,21 @@ def voigt_density(natural_halfwidth: float, detuning, doppler_scale: float):
 
     Normalized so the area over detuning is pi, matching the bare Lorentzian
     a/(a**2 + x**2).  doppler_scale = 0 returns that Lorentzian exactly.
-    Vectorized over detuning.
+    Vectorized over detuning; a float detuning (np.float64 included) returns
+    a Python float, bit-identical to the array path at any finite detuning.
     """
     a = float(natural_halfwidth)
     if a <= 0:
         raise ValueError("natural_halfwidth must be > 0")
+    if isinstance(detuning, float):
+        # Scalar path in Python floats, rounded exactly as the array path
+        # below: numpy divides a complex by a real through the reciprocal.
+        x = float(detuning)
+        s = doppler_scale
+        if s == 0.0:
+            return a / (a * a + x * x)
+        inv = 1.0 / s
+        return float((_SQRT_PI / s) * wofz(complex(0.0 - x * inv, a * inv)).real)
     x = np.asarray(detuning, dtype=float)
     if doppler_scale == 0.0:
         out = a / (a * a + x * x)
@@ -128,7 +138,10 @@ class DopplerComponent:
     def density(self, Omega_mu):
         # Voigt profiles are even in the detuning, so the mirror flag does
         # not alter the value; it records the scan orientation only.
-        x = np.asarray(Omega_mu, dtype=float) - self.center
+        if isinstance(Omega_mu, float):
+            x = float(Omega_mu) - self.center
+        else:
+            x = np.asarray(Omega_mu, dtype=float) - self.center
         return self.weight * voigt_density(self.natural_halfwidth, x, self.doppler_scale)
 
     def voigt(self, Omega_mu: float) -> VoigtParameters:

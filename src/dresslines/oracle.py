@@ -357,6 +357,15 @@ _DEFAULTS = {
 }
 
 
+def check_parameters(parameter_set: dict) -> None:
+    """Raise ValueError or TypeError where certify would reject parameter_set.
+
+    Catches unknown keys, non-numeric values and values that the physics
+    objects or the oracle settings refuse, without running any oracle.
+    """
+    _settings(_build(parameter_set)[0])
+
+
 def _build(parameter_set):
     p = dict(_DEFAULTS)
     unknown = set(parameter_set) - set(p)
@@ -367,8 +376,15 @@ def _build(parameter_set):
     drive = DriveField(G=p["G"], Omega=p["Omega"], k=p["k"])
     probe = ProbeField(G_mu=p["G_mu"], k_mu=p["k_mu"], theta=p["theta"])
     ensemble = ThermalEnsemble(vbar=p["vbar"])
-    grid = np.linspace(p["omega_mu_min"], p["omega_mu_max"], int(p["omega_mu_count"]))
+    count = int(p["omega_mu_count"])
+    if count < 1:
+        raise ValueError("omega_mu_count must be >= 1")
+    grid = np.linspace(p["omega_mu_min"], p["omega_mu_max"], count)
     return p, scheme, drive, probe, ensemble, grid
+
+
+def _settings(p):
+    return OdeSettings(rtol=p["rtol"], atol=p["atol"]), QuadratureSettings(nodes=int(p["nodes"]))
 
 
 def _pole_distance(widths, scales):
@@ -407,8 +423,7 @@ def certify(closed_form_id: str, parameter_set: dict, tolerance: float) -> Certi
         raise ValueError(f"unknown closed_form_id {closed_form_id!r}; "
                          f"expected one of {CLOSED_FORM_IDS}")
     p, scheme, drive, probe, ensemble, grid = _build(parameter_set)
-    ode = OdeSettings(rtol=p["rtol"], atol=p["atol"])
-    quad_settings = QuadratureSettings(nodes=int(p["nodes"]))
+    ode, quad_settings = _settings(p)
 
     ratios: dict = {}
     regime_ok = True

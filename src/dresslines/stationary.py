@@ -72,20 +72,46 @@ def w_mu_exact(scheme, drive, probe, Omega_mu):
 
 
 def w_mu_from_pair(pair: DressedPair, gamma_l: float, G: float, G_mu: float, Omega_mu):
-    """Same as w_mu_exact but reusing an already computed dressed pair."""
-    Omu = np.asarray(Omega_mu, dtype=float)
+    """Same as w_mu_exact but reusing an already computed dressed pair.
+
+    A float Omega_mu (np.float64 included) returns a Python float computed
+    in Python complex arithmetic, bit-identical to the array path.
+    """
     if pair.is_degenerate:
-        out = _w_confluent(pair, gamma_l, G, G_mu, Omu)
-    else:
-        a1 = pair.alpha1
-        a2 = pair.alpha2
-        pref = 2.0 * abs(G * G_mu) ** 2 / abs(a1 - a2) ** 2
-        c1 = 1.0 / (a1 + a1.conjugate()) - 1.0 / (a2 + a1.conjugate())
-        c2 = 1.0 / (a2 + a2.conjugate()) - 1.0 / (a1 + a2.conjugate())
-        t1 = c1 / (gamma_l + a1.conjugate() + 1j * Omu)
-        t2 = c2 / (gamma_l + a2.conjugate() + 1j * Omu)
-        out = pref * (t1 + t2).real
+        out = _w_confluent(pair, gamma_l, G, G_mu, np.asarray(Omega_mu, dtype=float))
+        return out if out.shape else float(out)
+    a1 = pair.alpha1
+    a2 = pair.alpha2
+    pref = 2.0 * abs(G * G_mu) ** 2 / abs(a1 - a2) ** 2
+    c1 = 1.0 / (a1 + a1.conjugate()) - 1.0 / (a2 + a1.conjugate())
+    c2 = 1.0 / (a2 + a2.conjugate()) - 1.0 / (a1 + a2.conjugate())
+    b1 = gamma_l + a1.conjugate()
+    b2 = gamma_l + a2.conjugate()
+    if isinstance(Omega_mu, float):
+        x = float(Omega_mu)
+        jx = complex(0.0 * x - 0.0, 0.0 + x)  # 1j*x, signed zeros as numpy forms it
+        return pref * (_cdiv(c1, b1 + jx).real + _cdiv(c2, b2 + jx).real)
+    Omu = np.asarray(Omega_mu, dtype=float)
+    out = pref * (c1 / (b1 + 1j * Omu) + c2 / (b2 + 1j * Omu)).real
     return out if out.shape else float(out)
+
+
+def _cdiv(num: complex, den: complex) -> complex:
+    """num/den rounded as numpy's complex128 division loop.
+
+    Smith's ratio, then a multiply by the reciprocal of the scaled
+    denominator.  Python's own complex division rounds differently.  The
+    denominator must be nonzero.
+    """
+    nr, ni = num.real, num.imag
+    dr, di = den.real, den.imag
+    if abs(dr) >= abs(di):
+        rat = di / dr
+        scl = 1.0 / (dr + di * rat)
+        return complex((nr + ni * rat) * scl, (ni - nr * rat) * scl)
+    rat = dr / di
+    scl = 1.0 / (di + dr * rat)
+    return complex((nr * rat + ni) * scl, (ni * rat - nr) * scl)
 
 
 def _w_confluent(pair, gamma_l, G, G_mu, Omu):

@@ -283,6 +283,42 @@ def test_certify_config_errors(tmp_path):
     assert main(["certify", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
+def scan_config(thetas):
+    return {
+        "schema_version": 1, "job": "scan", "scheme": dict(SCHEME),
+        "drive": {"G": 1.0, "Omega": 500.0, "k": 20.0},
+        "probe": {"G_mu": 1e-3, "k_mu": 20.0}, "ensemble": {"vbar": 1.0},
+        "thetas": thetas,
+    }
+
+
+def certify_config(**section):
+    return {"schema_version": 1, "job": "certify", "certify": section}
+
+
+@pytest.mark.parametrize("job, cfg, message", [
+    ("scan", scan_config(["a", 1.0]), "thetas must be a list of numbers"),
+    ("scan", scan_config(5), "thetas must be a list of numbers"),
+    ("certify", certify_config(ids=["eq2_6"], tolerance="x"),
+     "certify tolerances must be numbers, got 'x'"),
+    ("certify", certify_config(ids=["eq2_6"], tolerance=1e-6,
+                               parameters={"omega_mu_count": 5, "bogus": 1.0}),
+     "unknown parameter keys: ['bogus']"),
+    ("certify", certify_config(ids=["eq2_6"], tolerance=1e-6,
+                               parameters={"omega_mu_count": 0}),
+     "omega_mu_count must be >= 1"),
+    ("certify", certify_config(ids="eq2_6", tolerance=1e-6),
+     "certify.ids must be a non-empty list"),
+], ids=["theta-not-a-number", "thetas-not-a-list", "tolerance-not-a-number",
+        "unknown-parameter", "empty-grid", "ids-not-a-list"])
+def test_malformed_configs_exit_2_with_one_error_line(tmp_path, capsys, job, cfg, message):
+    path = write_config(tmp_path, "malformed.json", cfg)
+    assert main([job, "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_unreadable_and_invalid_configs(tmp_path):
     assert main(["spectrum", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path)]) == 2
