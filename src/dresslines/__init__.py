@@ -18,9 +18,7 @@ from .dressed import (
 )
 from .doppler import (
     DopplerComponent,
-    EffectiveWavevector,
     ResonanceDescriptor,
-    VoigtParameters,
     doppler_strong_doublet,
     doppler_weak_doublet,
     effective_q,
@@ -65,10 +63,8 @@ from .oracle import (
     weak_pointwise,
 )
 from .stationary import (
-    SpectrumPoint,
     WeakFieldBreakdown,
     predicted_peaks,
-    scan_spectrum,
     w_mu_exact,
     w_mu_weak,
     weak_field_ratio,
@@ -83,7 +79,6 @@ __all__ = [
     "DopplerComponent",
     "DressedPair",
     "DriveField",
-    "EffectiveWavevector",
     "LevelScheme",
     "OdeSettings",
     "ProbeField",
@@ -91,9 +86,7 @@ __all__ = [
     "QuadratureSettings",
     "RegimeError",
     "ResonanceDescriptor",
-    "SpectrumPoint",
     "ThermalEnsemble",
-    "VoigtParameters",
     "WeakFieldBreakdown",
     "amplitude_m",
     "amplitude_n",
@@ -113,7 +106,6 @@ __all__ = [
     "memory_factors",
     "predicted_peaks",
     "rabi_from_field",
-    "scan_spectrum",
     "strong_doublet_components",
     "strong_pointwise",
     "temperature_from_vbar",

@@ -227,6 +227,10 @@ def load_config(path, job: str) -> JobConfig:
     if scan_family not in ("weak", "strong"):
         raise ConfigError("scan_family must be 'weak' or 'strong'")
 
+    label = raw.get("label", "")
+    if not isinstance(label, str):
+        raise ConfigError(f"label must be a string, got {label!r}")
+
     certify_cfg = {}
     if job == "certify":
         if "certify" not in raw:
@@ -237,7 +241,7 @@ def load_config(path, job: str) -> JobConfig:
     return JobConfig(job=job, kind=kind, scheme=scheme, drive=drive, probe=probe,
                      ensemble=ensemble, grid=grid, thetas=thetas,
                      scan_family=scan_family, certify=certify_cfg,
-                     label=str(raw.get("label", "")))
+                     label=label)
 
 
 def _sanitize(obj):

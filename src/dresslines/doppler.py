@@ -54,31 +54,7 @@ def erfcx_complex(z):
     return out if out.shape else complex(out)
 
 
-@dataclass(frozen=True)
-class EffectiveWavevector:
-    """Magnitude of k_mu - M*k together with the geometry that produced it."""
-
-    q: float
-    theta: float
-    M: float
-
-
-@dataclass(frozen=True)
-class VoigtParameters:
-    """Argument bundle of one Voigt-type term.
-
-    p = (natural half-width + i*detuning) / doppler_scale; the averaged
-    density is Re[(sqrt(pi)/doppler_scale) * erfcx(p)].
-    """
-
-    p: complex
-    doppler_scale: float
-
-    def density(self) -> float:
-        return (_SQRT_PI / self.doppler_scale) * erfcx_complex(self.p).real
-
-
-def effective_q(k: float, k_mu: float, theta: float, M: float) -> EffectiveWavevector:
+def effective_q(k: float, k_mu: float, theta: float, M: float) -> float:
     """Effective wave vector controlling one component's Doppler width."""
     if k < 0 or k_mu < 0:
         raise ValueError("k and k_mu must be >= 0")
@@ -86,8 +62,7 @@ def effective_q(k: float, k_mu: float, theta: float, M: float) -> EffectiveWavev
         raise ValueError("theta must lie in [0, pi]")
     if not 0.0 <= M <= 1.0:
         raise ValueError("M must lie in [0, 1]")
-    q = math.sqrt((k_mu - M * k) ** 2 + 4.0 * M * k * k_mu * math.sin(theta / 2.0) ** 2)
-    return EffectiveWavevector(q=q, theta=theta, M=M)
+    return math.sqrt((k_mu - M * k) ** 2 + 4.0 * M * k * k_mu * math.sin(theta / 2.0) ** 2)
 
 
 def voigt_density(natural_halfwidth: float, detuning, doppler_scale: float):
@@ -133,25 +108,13 @@ class DopplerComponent:
     doppler_scale: float
     weight: float
     memory: float
-    mirror: int = 1  # -1 when the process kind reverses the probe sign
 
     def density(self, Omega_mu):
-        # Voigt profiles are even in the detuning, so the mirror flag does
-        # not alter the value; it records the scan orientation only.
         if isinstance(Omega_mu, float):
             x = float(Omega_mu) - self.center
         else:
             x = np.asarray(Omega_mu, dtype=float) - self.center
         return self.weight * voigt_density(self.natural_halfwidth, x, self.doppler_scale)
-
-    def voigt(self, Omega_mu: float) -> VoigtParameters:
-        if self.doppler_scale == 0.0:
-            raise ValueError("pure Lorentzian component has no Voigt parameters")
-        x = self.mirror * (Omega_mu - self.center)
-        return VoigtParameters(
-            p=complex(self.natural_halfwidth, x) / self.doppler_scale,
-            doppler_scale=self.doppler_scale,
-        )
 
 
 def _signed_geometry(kind, drive, probe):
@@ -181,19 +144,17 @@ def weak_doublet_components(
             label="stepwise",
             center=0.0,
             natural_halfwidth=gl + gm,
-            doppler_scale=q_step.q * ensemble.vbar,
+            doppler_scale=q_step * ensemble.vbar,
             weight=pref / gm,
             memory=0.0,
-            mirror=s_mu,
         ),
         DopplerComponent(
             label="raman",
             center=s_mu * Om_s,
             natural_halfwidth=gl + gn,
-            doppler_scale=q_raman.q * ensemble.vbar,
+            doppler_scale=q_raman * ensemble.vbar,
             weight=pref / gn,
             memory=1.0,
-            mirror=s_mu,
         ),
     ]
 
@@ -275,10 +236,9 @@ def strong_doublet_components(
                 label=f"dressed{j}",
                 center=s_mu * alpha.imag,
                 natural_halfwidth=scheme.gamma_l + alpha.real,
-                doppler_scale=qj.q * ensemble.vbar,
+                doppler_scale=qj * ensemble.vbar,
                 weight=pref / (2.0 * alpha.real),
                 memory=M,
-                mirror=s_mu,
             )
         )
     return comps
@@ -318,8 +278,7 @@ def triplet_components(
     if drive.G <= 0:
         raise RegimeError("triplet requires a nonzero drive")
     Gamma = scheme.gamma_sum
-    q = effective_q(drive.k, probe.k_mu, probe.theta, 1.0)
-    scale = q.q * ensemble.vbar
+    scale = effective_q(drive.k, probe.k_mu, probe.theta, 1.0) * ensemble.vbar
     comps = []
     for mult, shift, label in (
         (1.0, -2.0 * drive.G, "side_low"),
@@ -389,7 +348,7 @@ def triplet_resonance_positions(pair: DressedPair, k: float, k_mu: float, theta:
     triplet points and in the weak-drive limit to the Rayleigh and stepwise
     lines.
     """
-    q = effective_q(k, k_mu, theta, 1.0).q
+    q = effective_q(k, k_mu, theta, 1.0)
     Omega = pair.alpha1.imag + pair.alpha2.imag
     return (
         ResonanceDescriptor(Omega, 2.0 * pair.alpha1.real, q, True),

@@ -33,8 +33,6 @@ class DressedPair:
     """Exponents, amplitude weights and memory factors of the driven pair.
 
     alpha1, alpha2: complex decay exponents, labeled as described above.
-    A1, A2: weights of the two exponentials in the lower-state amplitude,
-        A1 + A2 = 1 exactly.
     M1, M2: memory factors, the fraction of the drive wave vector imprinted
         on each dressed component (NaN when undefined, i.e. G = Omega = 0).
     Gamma: total damping gamma_m + gamma_n.
@@ -43,8 +41,6 @@ class DressedPair:
 
     alpha1: complex
     alpha2: complex
-    A1: complex
-    A2: complex
     M1: float
     M2: float
     Gamma: float
@@ -56,8 +52,31 @@ class DressedPair:
 
     @property
     def is_degenerate(self) -> bool:
+        """Confluent point: the exponents coincide to 1e-8 of the pair's scale.
+
+        The one rule for the exponential weights (NaN here), the doublet
+        decompositions (RegimeError) and amplitude_m/n (the t*exp form).
+        """
         scale = self.Gamma + abs(self.alpha1.imag) + abs(self.alpha2.imag)
         return abs(self.splitting) < 1e-8 * max(scale, 1e-300)
+
+    @property
+    def A1(self) -> complex:
+        """Weight (alpha_1 - gamma_m)/(alpha_1 - alpha_2) of exp(-alpha_1 t) in a_n."""
+        if self.is_degenerate:
+            return complex(math.nan, math.nan)
+        return (self.alpha1 - self.gamma_m) / self.splitting
+
+    @property
+    def A2(self) -> complex:
+        """Weight (gamma_m - alpha_2)/(alpha_1 - alpha_2) of exp(-alpha_2 t); A1 + A2 = 1."""
+        if self.is_degenerate:
+            return complex(math.nan, math.nan)
+        return (self.gamma_m - self.alpha2) / self.splitting
+
+    @property
+    def gamma_m(self) -> float:
+        return 0.5 * (self.Gamma - self.gamma_diff)
 
 
 def dressed_exponents(scheme: LevelScheme, drive: DriveField) -> DressedPair:
@@ -69,8 +88,8 @@ def dressed_exponents(scheme: LevelScheme, drive: DriveField) -> DressedPair:
         S = sqrt(G**2 + ((Omega - i*gamma_diff)/2)**2)
 
     with the principal branch of the square root, then swaps to enforce the
-    labeling convention.  The weights are A_1 = (alpha_1 - gamma_m)/(alpha_1
-    - alpha_2) and A_2 = (gamma_m - alpha_2)/(alpha_1 - alpha_2).
+    labeling convention.  The weights A1, A2 follow from the exponents as
+    properties of the pair.
     """
     G = drive.G
     Omega = drive.Omega
@@ -85,26 +104,13 @@ def dressed_exponents(scheme: LevelScheme, drive: DriveField) -> DressedPair:
     if (a.imag, -a.real) < (b.imag, -b.real):
         a, b = b, a
 
-    split = a - b
-    scale = Gamma + abs(Omega) + G
-    if abs(split) < 1e-8 * scale:
-        # Confluent point: both exponents collapse, weights are singular.
-        A1 = complex(math.nan, math.nan)
-        A2 = complex(math.nan, math.nan)
-    else:
-        A1 = (a - scheme.gamma_m) / split
-        A2 = (scheme.gamma_m - b) / split
-
     try:
         M1, M2 = memory_factors(drive)
     except RegimeError:
         M1 = math.nan
         M2 = math.nan
 
-    return DressedPair(
-        alpha1=a, alpha2=b, A1=A1, A2=A2, M1=M1, M2=M2,
-        Gamma=Gamma, gamma_diff=gd,
-    )
+    return DressedPair(alpha1=a, alpha2=b, M1=M1, M2=M2, Gamma=Gamma, gamma_diff=gd)
 
 
 def memory_factors(drive: DriveField) -> tuple[float, float]:
@@ -149,8 +155,7 @@ def amplitude_n(pair: DressedPair, t):
     t = np.asarray(t, dtype=float)
     if pair.is_degenerate:
         alpha = 0.5 * (pair.alpha1 + pair.alpha2)
-        gamma_m = 0.5 * (pair.Gamma - pair.gamma_diff)
-        out = (1.0 - (alpha - gamma_m) * t) * np.exp(-alpha * t)
+        out = (1.0 - (alpha - pair.gamma_m) * t) * np.exp(-alpha * t)
     else:
         out = pair.A1 * np.exp(-pair.alpha1 * t) + pair.A2 * np.exp(-pair.alpha2 * t)
     return out if out.shape else complex(out)

@@ -3,8 +3,8 @@
 w(Omega_mu) is the total probability density, per unit probe detuning, that
 the probe photon is emitted on the m-l transition while the m-n pair is
 driven.  It is built as 2*gamma_l * integral |a_l(t)|^2 dt with a_l taken to
-first order in the probe coupling, which closes in terms of the dressed
-exponents alpha_1, alpha_2.
+first order in the probe coupling, which closes through the stationary
+Gramian of the driven m-n pair: no exponents, hence no confluent case.
 
 Everything here is for a single velocity class; Doppler averaging lives in
 the doppler module, brute-force validation in the oracle module.
@@ -17,16 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dressed import DressedPair, dressed_exponents
+from .dressed import DressedPair
 from .model import DriveField, LevelScheme, ProbeField, RegimeError
-
-
-@dataclass(frozen=True)
-class SpectrumPoint:
-    """One sample of the emission spectrum: probe detuning and density."""
-
-    Omega_mu: float
-    w: float
 
 
 @dataclass(frozen=True)
@@ -63,73 +55,43 @@ def weak_field_ratio(scheme: LevelScheme, drive: DriveField) -> float:
 def w_mu_exact(scheme, drive, probe, Omega_mu):
     """Exact emission density at probe detuning Omega_mu (scalar or array).
 
-    Valid for any drive strength.  The two-exponential form is replaced by
-    its analytic confluent limit when the dressed exponents collapse (which
-    happens only at Omega = 0 with |gamma_n - gamma_m| = 2G).
+    Valid for any drive strength, the confluent point of the dressed
+    exponents included.  With A the generator of (a_m, a_n), a_n(0) = 1,
+    and P the stationary Gramian, A P + P A^H = -e_n e_n^H,
+
+        w = -2 |G_mu|^2 Re[((A + (-gamma_l + i*Omega_mu) I)^-1 P)_mm],
+
+    solved in closed form and evaluated in real arithmetic.  The 2x2
+    determinant has its roots at real part -gamma_l - Re(alpha_j) < 0, so it
+    never vanishes for a real Omega_mu and no case is special.  A float
+    Omega_mu (np.float64 included) runs the same expression in Python floats
+    and returns a Python float, bit-identical to the array path, since every
+    step is one correctly rounded float64 operation on either path.
     """
-    pair = dressed_exponents(scheme, drive)
-    return w_mu_from_pair(pair, scheme.gamma_l, drive.G, probe.G_mu, Omega_mu)
-
-
-def w_mu_from_pair(pair: DressedPair, gamma_l: float, G: float, G_mu: float, Omega_mu):
-    """Same as w_mu_exact but reusing an already computed dressed pair.
-
-    A float Omega_mu (np.float64 included) returns a Python float computed
-    in Python complex arithmetic, bit-identical to the array path.
-    """
-    if pair.is_degenerate:
-        out = _w_confluent(pair, gamma_l, G, G_mu, np.asarray(Omega_mu, dtype=float))
-        return out if out.shape else float(out)
-    a1 = pair.alpha1
-    a2 = pair.alpha2
-    pref = 2.0 * abs(G * G_mu) ** 2 / abs(a1 - a2) ** 2
-    c1 = 1.0 / (a1 + a1.conjugate()) - 1.0 / (a2 + a1.conjugate())
-    c2 = 1.0 / (a2 + a2.conjugate()) - 1.0 / (a1 + a2.conjugate())
-    b1 = gamma_l + a1.conjugate()
-    b2 = gamma_l + a2.conjugate()
+    gm, gn, gl = scheme.gamma_m, scheme.gamma_n, scheme.gamma_l
+    G2 = drive.G * drive.G
+    Om = drive.Omega
+    Gamma = gm + gn
+    s2 = Gamma * Gamma + Om * Om
+    K = G2 * Gamma / s2
+    D = 2.0 * (Gamma * K + gm * gn)
+    p = K / D                  # P_mm, the integral of |a_m|^2
+    c = G2 * gm / (D * s2)     # i*G*P_nm = c*(Gamma - i*Omega)
+    r1 = -gm - gl
+    r2 = -gn - gl
+    nr = p * r2 - c * Gamma
     if isinstance(Omega_mu, float):
         x = float(Omega_mu)
-        jx = complex(0.0 * x - 0.0, 0.0 + x)  # 1j*x, signed zeros as numpy forms it
-        return pref * (_cdiv(c1, b1 + jx).real + _cdiv(c2, b2 + jx).real)
-    Omu = np.asarray(Omega_mu, dtype=float)
-    out = pref * (c1 / (b1 + 1j * Omu) + c2 / (b2 + 1j * Omu)).real
-    return out if out.shape else float(out)
-
-
-def _cdiv(num: complex, den: complex) -> complex:
-    """num/den rounded as numpy's complex128 division loop.
-
-    Smith's ratio, then a multiply by the reciprocal of the scaled
-    denominator.  Python's own complex division rounds differently.  The
-    denominator must be nonzero.
-    """
-    nr, ni = num.real, num.imag
-    dr, di = den.real, den.imag
-    if abs(dr) >= abs(di):
-        rat = di / dr
-        scl = 1.0 / (dr + di * rat)
-        return complex((nr + ni * rat) * scl, (ni - nr * rat) * scl)
-    rat = dr / di
-    scl = 1.0 / (di + dr * rat)
-    return complex((nr * rat + ni) * scl, (ni * rat - nr) * scl)
-
-
-def _w_confluent(pair, gamma_l, G, G_mu, Omu):
-    # Both exponents collapse to alpha; the upper-state amplitude acquires a
-    # t*exp(-alpha*t) factor and the frequency integral develops a double
-    # pole.  Evaluated by residues of the closed contour in the upper half
-    # plane; cross-validated against the time-domain oracle.
-    alpha = 0.5 * (pair.alpha1 + pair.alpha2)
-    bp = alpha.real
-    bpp = alpha.imag - Omu
-    w0 = bpp + 1j * bp
-    w1 = bpp - 1j * bp
-    P = (1j * gamma_l - bpp) ** 2 + bp**2
-    res_a = 1.0 / (2j * gamma_l * P**2)
-    denom = w0**2 + gamma_l**2
-    res_0 = -(2.0 * w0 / denom + 2.0 / (w0 - w1)) / (denom * (w0 - w1) ** 2)
-    I = 2j * np.pi * (res_a + res_0)
-    return (gamma_l * abs(G * G_mu) ** 2 / np.pi * I).real
+    else:
+        x = np.asarray(Omega_mu, dtype=float)
+    y = x - Om
+    # det = (r1 + i*x)(r2 + i*y) + G^2 = dr + i*di;
+    # numerator (r2 + i*y)*p - c*(Gamma - i*Omega) = nr + i*ni.
+    dr = r1 * r2 - x * y + G2
+    di = r1 * y + r2 * x
+    ni = p * y + c * Om
+    w = -2.0 * abs(probe.G_mu) ** 2 * (nr * dr + ni * di) / (dr * dr + di * di)
+    return w if isinstance(w, np.ndarray) else float(w)
 
 
 def w_mu_weak(scheme, drive, probe, Omega_mu, include_interference: bool = True):
@@ -179,17 +141,6 @@ def w_mu_weak(scheme, drive, probe, Omega_mu, include_interference: bool = True)
         coupling_ratio=weak_field_ratio(scheme, drive),
     )
     return (w if w.shape else float(w)), breakdown
-
-
-def scan_spectrum(scheme, drive, probe, grid):
-    """Exact spectrum sampled on a strictly increasing Omega_mu grid."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty Omega_mu grid")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("Omega_mu grid must be strictly increasing")
-    w = np.atleast_1d(w_mu_exact(scheme, drive, probe, grid))
-    return [SpectrumPoint(float(x), float(v)) for x, v in zip(grid, w)]
 
 
 def predicted_peaks(pair: DressedPair) -> tuple[float, float]:

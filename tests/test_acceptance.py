@@ -171,7 +171,7 @@ def test_criterion_05_direction_dependent_width():
         comps = weak_doublet_components(scheme, drive, probe, ens)
         raman = comps[1]
         s = raman.doppler_scale
-        expect = TWO_SQRT_LN2 * effective_q(300.0, 300.0, theta, 1.0).q
+        expect = TWO_SQRT_LN2 * effective_q(300.0, 300.0, theta, 1.0)
         width, _, _ = fwhm(raman.density, raman.center - 6 * s, raman.center + 6 * s)
         worst = max(worst, abs(width - expect) / expect)
     # backward observation: correlated width doubles the direct one

@@ -309,8 +309,11 @@ def certify_config(**section):
      "omega_mu_count must be >= 1"),
     ("certify", certify_config(ids="eq2_6", tolerance=1e-6),
      "certify.ids must be a non-empty list"),
+    ("spectrum", spectrum_config(label={"name": "x"}), "label must be a string"),
+    ("spectrum", spectrum_config(label=7), "label must be a string, got 7"),
 ], ids=["theta-not-a-number", "thetas-not-a-list", "tolerance-not-a-number",
-        "unknown-parameter", "empty-grid", "ids-not-a-list"])
+        "unknown-parameter", "empty-grid", "ids-not-a-list", "label-object",
+        "label-number"])
 def test_malformed_configs_exit_2_with_one_error_line(tmp_path, capsys, job, cfg, message):
     path = write_config(tmp_path, "malformed.json", cfg)
     assert main([job, "--config", str(path), "--out", str(tmp_path)]) == 2

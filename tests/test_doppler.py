@@ -30,7 +30,6 @@ from dresslines import (
     weak_doublet_components,
     weak_doublet_gaussian,
 )
-from dresslines.doppler import VoigtParameters
 
 rng = np.random.default_rng(99123)
 
@@ -71,10 +70,10 @@ def test_erfcx_rejects_left_half_plane():
 
 
 def test_effective_q_boundaries():
-    assert effective_q(1.0, 1.0, math.pi, 1.0).q == pytest.approx(2.0, rel=1e-15)
-    assert effective_q(1.0, 1.0, 0.0, 1.0).q == 0.0
-    assert effective_q(1.0, 0.5, 0.0, 0.5).q == 0.0
-    assert effective_q(3.0, 0.7, 1.1, 0.0).q == pytest.approx(0.7, rel=1e-15)
+    assert effective_q(1.0, 1.0, math.pi, 1.0) == pytest.approx(2.0, rel=1e-15)
+    assert effective_q(1.0, 1.0, 0.0, 1.0) == 0.0
+    assert effective_q(1.0, 0.5, 0.0, 0.5) == 0.0
+    assert effective_q(3.0, 0.7, 1.1, 0.0) == pytest.approx(0.7, rel=1e-15)
 
 
 def test_effective_q_monotone_in_theta():
@@ -82,7 +81,7 @@ def test_effective_q_monotone_in_theta():
         k, k_mu = rng.uniform(0.1, 5.0, 2)
         M = rng.uniform(0.0, 1.0)
         thetas = np.linspace(0.0, math.pi, 40)
-        qs = [effective_q(k, k_mu, t, M).q for t in thetas]
+        qs = [effective_q(k, k_mu, t, M) for t in thetas]
         assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
 
 
@@ -123,11 +122,6 @@ def test_voigt_density_area_is_pi():
         assert val == pytest.approx(math.pi, rel=1e-7)
 
 
-def test_voigt_parameters_consistency():
-    vp = VoigtParameters(p=complex(1.0, 2.0) / 3.0, doppler_scale=3.0)
-    assert vp.density() == pytest.approx(voigt_density(1.0, 2.0, 3.0), rel=1e-14)
-
-
 SCHEME = LevelScheme(gamma_m=1.0, gamma_n=2.0, gamma_l=0.5)
 ENS = ThermalEnsemble(vbar=1.0)
 
@@ -140,7 +134,7 @@ def test_weak_doublet_structure():
     assert comps[0].center == 0.0
     assert comps[1].center == pytest.approx(1000.0)
     assert comps[0].doppler_scale == pytest.approx(28.0)
-    q = effective_q(30.0, 28.0, 2.0, 1.0).q
+    q = effective_q(30.0, 28.0, 2.0, 1.0)
     assert comps[1].doppler_scale == pytest.approx(q)
     xs = np.linspace(990.0, 1010.0, 11)
     total = doppler_weak_doublet(SCHEME, drive, probe, ENS, xs)
@@ -330,7 +324,7 @@ def test_triplet_resonance_positions_limits():
     assert centers[1] == pytest.approx(2.0, abs=0.1)
     assert centers[2] == pytest.approx(2.0, abs=0.1)
     assert centers[3] == pytest.approx(2.0 + 1000.0, rel=1e-3)
-    q = effective_q(1.0, 1.0, 0.7, 1.0).q
+    q = effective_q(1.0, 1.0, 0.7, 1.0)
     assert {round(d.doppler_q, 12) for d in descs} == {round(q, 12), 1.0}
     # no drive: the correlated pair sits at Omega, the bare pair at 0 and 2*Omega
     pair0 = dressed_exponents(scheme, DriveField(G=0.0, Omega=9.0))

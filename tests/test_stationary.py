@@ -12,7 +12,6 @@ from dresslines import (
     RegimeError,
     dressed_exponents,
     predicted_peaks,
-    scan_spectrum,
     w_mu_exact,
     w_mu_time_domain_grid,
     w_mu_weak,
@@ -81,13 +80,28 @@ def test_confluent_point_matches_time_domain():
 
 
 def test_near_confluent_continuity():
-    # Tiny detuning off the confluent point: generic branch stays finite and
-    # close to the confluent value.
-    G = 1.3
-    scheme = LevelScheme(gamma_m=1.0, gamma_n=1.0 + 2 * G, gamma_l=0.8)
-    at = w_mu_exact(scheme, DriveField(G=G, Omega=0.0), PROBE, 1.0)
-    near = w_mu_exact(scheme, DriveField(G=G, Omega=1e-5), PROBE, 1.0)
-    assert near == pytest.approx(at, rel=1e-4)
+    # Omega -> 0 onto the confluent point gamma_n - gamma_m = 2G, where a
+    # dressed-exponent form loses |alpha_1 - alpha_2|^2 to rounding.
+    scheme = LevelScheme(gamma_m=1.0, gamma_n=3.0, gamma_l=0.5)
+    grid = np.array([-3.0, 0.0, 1.0, 2.5])
+    for Om in (1e-4, 1e-8, 1e-10, 1e-12, 1e-14, 1e-15, 0.0):
+        drive = DriveField(G=1.0, Omega=Om)
+        w = w_mu_exact(scheme, drive, PROBE, grid)
+        ref = w_mu_time_domain_grid(scheme, drive, PROBE, grid,
+                                    settings=OdeSettings(rtol=1e-12, atol=1e-14))
+        assert np.max(np.abs(w - ref) / np.abs(ref)) < 1e-8, Om
+
+
+def test_confluent_pair_at_the_probe_pole():
+    # gamma_l = Re(alpha) and Omega_mu = Im(alpha) = 0 at the confluent point:
+    # the density is 3/128 there, on the scalar and on the array path.
+    scheme = LevelScheme(gamma_m=1.0, gamma_n=3.0, gamma_l=2.0)
+    drive = DriveField(G=1.0, Omega=0.0)
+    probe = ProbeField(G_mu=1.0)
+    for x in (0.0, 1e-9):
+        assert w_mu_exact(scheme, drive, probe, x) == pytest.approx(3 / 128, rel=1e-14)
+        w = w_mu_exact(scheme, drive, probe, np.array([x]))
+        assert w[0] == pytest.approx(3 / 128, rel=1e-14)
 
 
 def test_weak_field_form_and_breakdown():
@@ -132,20 +146,6 @@ def test_weak_field_singular_regime():
     with pytest.raises(RegimeError):
         w_mu_weak(scheme, DriveField(G=0.1, Omega=0.0), PROBE, 0.0)
     assert weak_field_ratio(scheme, DriveField(G=0.1, Omega=0.0)) == math.inf
-
-
-def test_scan_contracts():
-    scheme = LevelScheme(gamma_m=1.0, gamma_n=1.0, gamma_l=1.0)
-    drive = DriveField(G=2.0, Omega=0.0)
-    pts = scan_spectrum(scheme, drive, PROBE, [0.5])
-    assert len(pts) == 1 and pts[0].Omega_mu == 0.5
-    with pytest.raises(ValueError):
-        scan_spectrum(scheme, drive, PROBE, [])
-    with pytest.raises(ValueError):
-        scan_spectrum(scheme, drive, PROBE, [0.0, 0.0, 1.0])
-    grid = np.linspace(-8.0, 8.0, 33)
-    pts = scan_spectrum(scheme, drive, PROBE, grid)
-    assert [p.Omega_mu for p in pts] == list(grid)
 
 
 def test_scaling_invariance():
