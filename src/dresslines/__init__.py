@@ -5,7 +5,8 @@ watches the m-l transition.  The package computes the dressed decay
 exponents of the driven pair, the exact probe emission spectrum of an atom
 at rest, and Maxwellian velocity averages whose Doppler widths depend on
 the observation direction, together with brute-force oracles (time-domain
-integration and Gauss-Hermite quadrature) that certify every closed form.
+integration and trapezoidal velocity quadrature with a step set by the
+nearest line-shape pole) that certify every closed form.
 """
 
 from .dressed import (
@@ -18,7 +19,6 @@ from .dressed import (
 )
 from .doppler import (
     DopplerComponent,
-    ResonanceDescriptor,
     doppler_strong_doublet,
     doppler_weak_doublet,
     effective_q,
@@ -30,7 +30,6 @@ from .doppler import (
     strong_doublet_components,
     triplet_components,
     triplet_regime_ratios,
-    triplet_resonance_positions,
     voigt_density,
     weak_doublet_components,
     weak_doublet_gaussian,
@@ -85,7 +84,6 @@ __all__ = [
     "ProcessKind",
     "QuadratureSettings",
     "RegimeError",
-    "ResonanceDescriptor",
     "ThermalEnsemble",
     "WeakFieldBreakdown",
     "amplitude_m",
@@ -112,7 +110,6 @@ __all__ = [
     "triplet_components",
     "triplet_pointwise",
     "triplet_regime_ratios",
-    "triplet_resonance_positions",
     "vbar_from_temperature",
     "velocity_average",
     "voigt_density",

@@ -366,10 +366,7 @@ def run_averaged_job(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
     comps = _averaged_components(cfg)
 
     def density(x):
-        out = comps[0].density(x)
-        for c in comps[1:]:
-            out = out + c.density(x)
-        return out
+        return dop.density_sum(comps, x)
 
     w = np.atleast_1d(density(cfg.grid))
     if fmt in ("csv", "both"):

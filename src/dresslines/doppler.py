@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import wofz
 
-from .dressed import DressedPair, dressed_exponents, memory_factors
+from .dressed import dressed_exponents, memory_factors
 from .model import (
     DriveField,
     LevelScheme,
@@ -32,7 +32,6 @@ from .model import (
     ProcessKind,
     RegimeError,
     ThermalEnsemble,
-    apply_process_signs,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -117,6 +116,14 @@ class DopplerComponent:
         return self.weight * voigt_density(self.natural_halfwidth, x, self.doppler_scale)
 
 
+def density_sum(components, Omega_mu):
+    """Sum of the components' densities at Omega_mu, added left to right."""
+    out = components[0].density(Omega_mu)
+    for c in components[1:]:
+        out = out + c.density(Omega_mu)
+    return out
+
+
 def _signed_geometry(kind, drive, probe):
     s, s_mu = kind.signs
     Om_s = s * drive.Omega
@@ -174,9 +181,7 @@ def doppler_weak_doublet(
     drive detuning (Doppler scale q*vbar, direction dependent).  Scalar or
     array Omega_mu.
     """
-    comps = weak_doublet_components(scheme, drive, probe, ensemble, kind)
-    out = comps[0].density(Omega_mu) + comps[1].density(Omega_mu)
-    return out
+    return density_sum(weak_doublet_components(scheme, drive, probe, ensemble, kind), Omega_mu)
 
 
 def weak_doublet_gaussian(
@@ -258,8 +263,7 @@ def doppler_strong_doublet(
     sqrt(Omega**2 + 4G**2), each with its own direction-dependent Doppler
     scale q_j*vbar.  Scalar or array Omega_mu.
     """
-    comps = strong_doublet_components(scheme, drive, probe, ensemble, kind)
-    return comps[0].density(Omega_mu) + comps[1].density(Omega_mu)
+    return density_sum(strong_doublet_components(scheme, drive, probe, ensemble, kind), Omega_mu)
 
 
 def triplet_components(
@@ -305,11 +309,7 @@ def fluorescence_triplet(scheme, drive, probe, ensemble, Omega_mu):
     reported by triplet_regime_ratios, not enforced).  Normalized to unit
     total area in Omega_mu.  Scalar or array Omega_mu.
     """
-    comps = triplet_components(scheme, drive, probe, ensemble)
-    out = comps[0].density(Omega_mu)
-    for c in comps[1:]:
-        out = out + c.density(Omega_mu)
-    return out
+    return density_sum(triplet_components(scheme, drive, probe, ensemble), Omega_mu)
 
 
 def triplet_regime_ratios(scheme, drive, ensemble) -> dict:
@@ -322,40 +322,6 @@ def triplet_regime_ratios(scheme, drive, ensemble) -> dict:
         "G_over_Gamma": drive.G / Gamma,
         "G_over_doppler": drive.G / max(kv, tiny),
     }
-
-
-@dataclass(frozen=True)
-class ResonanceDescriptor:
-    """Position, width and Doppler vector of one resonant term.
-
-    correlated=True means the term's Doppler width is governed by the
-    two-photon vector q; False means the bare emission vector k_mu.
-    """
-
-    center: float
-    halfwidth: float
-    doppler_q: float
-    correlated: bool
-
-
-def triplet_resonance_positions(pair: DressedPair, k: float, k_mu: float, theta: float):
-    """The four resonances of the driven-transition emission at general drive.
-
-    Two correlated terms sit at the drive detuning with widths 2*Re(alpha_j)
-    and Doppler vector q; two sit at 2*Im(alpha_j) with the full natural
-    width Gamma and Doppler vector k_mu.  Weights in the general case are
-    out of scope; in the strong-drive limit the centers collapse to the
-    triplet points and in the weak-drive limit to the Rayleigh and stepwise
-    lines.
-    """
-    q = effective_q(k, k_mu, theta, 1.0)
-    Omega = pair.alpha1.imag + pair.alpha2.imag
-    return (
-        ResonanceDescriptor(Omega, 2.0 * pair.alpha1.real, q, True),
-        ResonanceDescriptor(Omega, 2.0 * pair.alpha2.real, q, True),
-        ResonanceDescriptor(2.0 * pair.alpha1.imag, pair.Gamma, k_mu, False),
-        ResonanceDescriptor(2.0 * pair.alpha2.imag, pair.Gamma, k_mu, False),
-    )
 
 
 def find_peak(f, lo: float, hi: float, n: int = 2001):

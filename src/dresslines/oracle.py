@@ -6,9 +6,10 @@ Two independent routes:
   with an adaptive Runge-Kutta method and accumulate the emission integral
   2*gamma_l * int |a_l|^2 dt.  No dressed-state algebra enters; agreement
   with the closed forms certifies them.
-* Velocity space: tensor-product Gauss-Hermite quadrature over the (at most
-  two) velocity projections a pointwise spectrum depends on, against which
-  the erfcx-based averaged forms are certified.
+* Velocity space: the tensor-product trapezoidal rule over the (at most
+  two) velocity projections a pointwise spectrum depends on, with a step
+  worked out from the distance of the nearest line-shape pole, against
+  which the erfcx-based averaged forms are certified.
 
 The `certify` entry point packages both routes behind stable identifiers
 and reports deviations together with regime diagnostics.
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.special import roots_hermite
 
 from . import doppler as dop
 from .dressed import dressed_exponents, memory_factors
@@ -30,9 +30,24 @@ from .stationary import w_mu_exact, w_mu_weak, weak_field_ratio
 
 _SQRT_PI = math.sqrt(math.pi)
 
+# Trapezoidal rule for the Maxwellian weight exp(-x^2)/sqrt(pi): points j*h
+# on |x| <= _HALF_SPAN drop a Gaussian tail of _EPS, and the step from
+# _trapezoid_step keeps the aliasing error near _EPS for an integrand
+# analytic in the strip |Im x| < d (Trefethen & Weideman, SIAM Rev. 56
+# (2014) 385).  _EPS sits at double precision because a polynomial factor
+# multiplies the aliasing error of a smooth integrand: at _EPS = 1e-14 the
+# second moment would come out 1.3e-12 off.
+_EPS = 1e-16
+_LOG_INV_EPS = math.log(1.0 / _EPS)
+_HALF_SPAN = math.sqrt(_LOG_INV_EPS)
+# _MAX_POINTS per axis bounds one average at about 7e7 evaluations of the
+# 2-D grid, which is evaluated _BLOCK_ROWS rows at a time to bound memory.
+_MAX_POINTS = 8400
+_BLOCK_ROWS = 64
+
 
 class ConvergenceError(RuntimeError):
-    """An oracle failed its self-consistency (tolerance or node doubling) check."""
+    """An oracle failed its self-consistency (tolerance or step halving) check."""
 
 
 @dataclass(frozen=True)
@@ -62,17 +77,14 @@ class OdeSettings:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Gauss-Hermite controls for the velocity route."""
+    """Controls for the velocity route's trapezoidal rule.
 
-    nodes: int = 0          # 0 = choose from the pole-distance heuristic
+    The step follows from the pole distance alone; doubling_check repeats
+    the average at half the step and raises ConvergenceError when the two
+    differ by more than 1e-9 relative.
+    """
+
     doubling_check: bool = False
-    chunk: int = 64
-
-    def __post_init__(self):
-        if self.nodes and self.nodes < 8:
-            raise ValueError("quadrature order must be >= 8")
-        if self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
 
 
 def _doppler_shifts(drive, probe, velocity):
@@ -171,39 +183,35 @@ def drive_trajectory(scheme, drive, times, velocity=(0.0, 0.0, 0.0),
     return sol.y[0], sol.y[1]
 
 
-def _auto_nodes(d: float) -> int:
-    # Empirical Gauss-Hermite orders for a Lorentzian pole at distance d
-    # (natural width over Doppler scale) to reach ~1e-10 relative.
-    if d >= 0.5:
-        return 600
-    if d >= 0.3:
-        return 1200
-    if d >= 0.2:
-        return 2500
-    if d >= 0.15:
-        return 4200
-    if d >= 0.1:
-        return 8400
-    raise ValueError(
-        f"pole distance {d:.3g} too small for reliable Gauss-Hermite averaging; "
-        "supply explicit QuadratureSettings.nodes"
-    )
+def _trapezoid_step(d: float) -> float:
+    # The weight grows as exp(y^2) at Im x = y, so a pole at distance d
+    # gives an aliasing error near exp(d^2 - 2*pi*d/h); this step holds it
+    # at _EPS.  Beyond d = _HALF_SPAN the Gaussian, not the pole, limits the
+    # step, which there is pi/_HALF_SPAN.
+    d = min(d, _HALF_SPAN)
+    return 2.0 * math.pi * d / (_LOG_INV_EPS + d * d)
 
 
-def _gh_average_1d(fn, scale_k, scale_kmu, nodes):
-    x, wx = roots_hermite(nodes)
-    return float(np.sum(wx * fn(scale_k * x, scale_kmu * x))) / _SQRT_PI
+def _trapezoid_points(h):
+    n = int(_HALF_SPAN / h)
+    x = h * np.arange(-n, n + 1)
+    return x, (h / _SQRT_PI) * np.exp(-(x * x))
 
 
-def _gh_average_2d(fn, kv, kmuv, theta, nodes, chunk):
-    x, wx = roots_hermite(nodes)
+def _average_1d(fn, scale_k, scale_kmu, h):
+    x, wx = _trapezoid_points(h)
+    return float(np.sum(wx * fn(scale_k * x, scale_kmu * x)))
+
+
+def _average_2d(fn, kv, kmuv, theta, h):
+    x, wx = _trapezoid_points(h)
     ct, st = math.cos(theta), math.sin(theta)
     total = 0.0
-    for i in range(0, nodes, chunk):
-        X = x[i:i + chunk, None]
+    for i in range(0, x.size, _BLOCK_ROWS):
+        X = x[i:i + _BLOCK_ROWS, None]
         vals = fn(kv * X, kmuv * (X * ct + x[None, :] * st))
-        total += float(np.sum((wx[i:i + chunk, None] * wx[None, :]) * vals))
-    return total / math.pi
+        total += float(np.sum((wx[i:i + _BLOCK_ROWS, None] * wx[None, :]) * vals))
+    return total
 
 
 def velocity_average(pointwise_fn, ensemble, k, k_mu, theta,
@@ -212,42 +220,50 @@ def velocity_average(pointwise_fn, ensemble, k, k_mu, theta,
     """Maxwellian average of pointwise_fn(k.v, k_mu.v).
 
     pointwise_fn must be vectorized over numpy arrays of the two Doppler
-    projections.  The average runs over the plane spanned by the two wave
+    projections and, apart from its poles, bounded off the real axis, as
+    the Lorentzian line shapes here are.  The average runs over the plane spanned by the two wave
     vectors (one axis when they are collinear or one vanishes); the
-    orthogonal velocity component integrates out exactly.  Node count comes
-    from settings.nodes or, when 0, from a pole-distance heuristic
-    (pole_distance = smallest natural width over largest Doppler scale).
-    With settings.doubling_check the count is doubled and a relative shift
-    above 1e-9 raises ConvergenceError carrying both estimates.
+    orthogonal velocity component integrates out exactly.  Each axis is
+    summed by the trapezoidal rule on |x| <= L = sqrt(ln(1/eps)), eps =
+    1e-16, with weights h*exp(-x^2)/sqrt(pi) and step
+    h = 2*pi*d/(ln(1/eps) + d^2) for d = min(pole_distance, L), where
+    pole_distance is the smallest natural width over the largest Doppler
+    scale (math.inf when every Doppler scale vanishes).  A pole distance
+    that needs more than 8400 points per axis (d below about 0.0085) raises
+    ValueError.  With settings.doubling_check the average is repeated at
+    h/2 and a relative shift above 1e-9 raises ConvergenceError carrying
+    both estimates.
     """
     settings = settings or QuadratureSettings()
     kv = k * ensemble.vbar
     kmuv = k_mu * ensemble.vbar
     if kv == 0.0 and kmuv == 0.0:
         return float(np.asarray(pointwise_fn(np.zeros(1), np.zeros(1)))[0])
+    if pole_distance is None:
+        raise ValueError("pole_distance is required when a wave vector is nonzero")
+    h = _trapezoid_step(pole_distance)
+    # 2*floor(L/h) + 1 points per axis; written so that d <= 0 or NaN fails too
+    if not _HALF_SPAN < 0.5 * _MAX_POINTS * h:
+        raise ValueError(
+            f"pole distance {pole_distance:.3g} is not positive or needs more "
+            f"than {_MAX_POINTS} trapezoidal points per axis"
+        )
 
-    if settings.nodes:
-        nodes = settings.nodes
-    else:
-        if pole_distance is None:
-            raise ValueError("either settings.nodes or pole_distance is required")
-        nodes = _auto_nodes(pole_distance)
-
-    def run(n):
+    def run(step):
         if kv == 0.0:
             # Only the probe direction carries Doppler structure.
-            return _gh_average_1d(pointwise_fn, 0.0, kmuv, n)
+            return _average_1d(pointwise_fn, 0.0, kmuv, step)
         if kmuv == 0.0 or math.sin(theta) == 0.0:
-            return _gh_average_1d(pointwise_fn, kv, kmuv * math.cos(theta), n)
-        return _gh_average_2d(pointwise_fn, kv, kmuv, theta, n, settings.chunk)
+            return _average_1d(pointwise_fn, kv, kmuv * math.cos(theta), step)
+        return _average_2d(pointwise_fn, kv, kmuv, theta, step)
 
-    val = run(nodes)
+    val = run(h)
     if settings.doubling_check:
-        val2 = run(2 * nodes)
+        val2 = run(0.5 * h)
         denom = max(abs(val), abs(val2), 1e-300)
         if abs(val - val2) / denom > 1e-9:
             raise ConvergenceError(
-                f"node doubling moved the average beyond 1e-9: {val!r} vs {val2!r}"
+                f"halving the step moved the average beyond 1e-9: {val!r} vs {val2!r}"
             )
         val = val2
     return val
@@ -353,7 +369,7 @@ _DEFAULTS = {
     "G": 3.0, "Omega": 4.0, "G_mu": 1e-3,
     "k": 0.0, "k_mu": 0.0, "theta": 0.0, "vbar": 1.0,
     "omega_mu_min": -20.0, "omega_mu_max": 20.0, "omega_mu_count": 33,
-    "nodes": 0, "rtol": 1e-11, "atol": 1e-13,
+    "rtol": 1e-11, "atol": 1e-13,
 }
 
 
@@ -363,7 +379,7 @@ def check_parameters(parameter_set: dict) -> None:
     Catches unknown keys, non-numeric values and values that the physics
     objects or the oracle settings refuse, without running any oracle.
     """
-    _settings(_build(parameter_set)[0])
+    _ode_settings(_build(parameter_set)[0])
 
 
 def _build(parameter_set):
@@ -383,37 +399,65 @@ def _build(parameter_set):
     return p, scheme, drive, probe, ensemble, grid
 
 
-def _settings(p):
-    return OdeSettings(rtol=p["rtol"], atol=p["atol"]), QuadratureSettings(nodes=int(p["nodes"]))
+def _ode_settings(p):
+    return OdeSettings(rtol=p["rtol"], atol=p["atol"])
 
 
 def _pole_distance(widths, scales):
+    """Smallest natural width over the largest Doppler scale.
+
+    math.inf when every Doppler scale vanishes even though a wave vector
+    may not: the velocity projections then cancel inside the line shape
+    and the integrand is constant along the quadrature axes.
+    """
     scales = [s for s in scales if s > 0.0]
     if not scales:
-        return None
+        return math.inf
     return min(widths) / max(scales)
 
 
-def _resolve_quadrature(settings, d):
-    """Pick quadrature settings for a component set with pole distance d.
+def _auto_nodes(d: float) -> int:
+    """Gauss-Hermite order the velocity route took for pole distance d
+    before the trapezoidal rule replaced it.
 
-    d is None when every closed-form Doppler scale vanishes even though a
-    wave vector may not: the sampled velocity projections then cancel
-    inside the line shape, the integrand is constant along the quadrature
-    axes, and a token node count reproduces it exactly.
+    The oracle no longer uses it.  The benchmark's certify cycle
+    (perfbench/inputs.py) is laid out over these tiers, and its test
+    checks each set against this table; both go together.
     """
-    if settings.nodes or d is not None:
-        return settings, d
-    token = QuadratureSettings(nodes=64, doubling_check=settings.doubling_check,
-                               chunk=settings.chunk)
-    return token, None
+    if d >= 0.5:
+        return 600
+    if d >= 0.3:
+        return 1200
+    if d >= 0.2:
+        return 2500
+    if d >= 0.15:
+        return 4200
+    if d >= 0.1:
+        return 8400
+    raise ValueError(f"pole distance {d:.3g} lies below the lowest tier (0.1)")
+
+
+def _quadrature_deviation(components, closed_form, pointwise,
+                          scheme, drive, probe, ensemble, grid):
+    """Worst pointwise relative deviation of an averaged closed form from
+    the velocity average of its pointwise spectrum at each grid detuning."""
+    comps = components(scheme, drive, probe, ensemble)
+    d = _pole_distance([c.natural_halfwidth for c in comps],
+                       [c.doppler_scale for c in comps])
+    closed = np.atleast_1d(closed_form(scheme, drive, probe, ensemble, grid))
+    ref = np.array([
+        velocity_average(pointwise(scheme, drive, probe, x), ensemble,
+                         drive.k, probe.k_mu, probe.theta, pole_distance=d)
+        for x in grid
+    ])
+    return float(np.max(np.abs(closed - ref) / np.abs(ref)))
 
 
 def certify(closed_form_id: str, parameter_set: dict, tolerance: float) -> CertifyReport:
     """Check one closed form against its brute-force route on a grid.
 
     parameter_set uses flat keys (gamma_m, gamma_n, gamma_l, G, Omega, G_mu,
-    k, k_mu, theta, vbar, omega_mu_min/max/count, nodes, rtol, atol); absent
+    k, k_mu, theta, vbar, omega_mu_min/max/count, rtol, atol); absent
     keys fall back to documented defaults.  The report records the maximum
     relative deviation, regime diagnostics, and the pass verdict; a regime
     violation fails the run with an explanation even when the numbers agree,
@@ -423,7 +467,7 @@ def certify(closed_form_id: str, parameter_set: dict, tolerance: float) -> Certi
         raise ValueError(f"unknown closed_form_id {closed_form_id!r}; "
                          f"expected one of {CLOSED_FORM_IDS}")
     p, scheme, drive, probe, ensemble, grid = _build(parameter_set)
-    ode, quad_settings = _settings(p)
+    ode = _ode_settings(p)
 
     ratios: dict = {}
     regime_ok = True
@@ -446,22 +490,16 @@ def certify(closed_form_id: str, parameter_set: dict, tolerance: float) -> Certi
         note = "weak-drive form vs time-domain integration, peak relative"
 
     elif closed_form_id in ("eq3_2", "eq3_3"):
-        comps = dop.weak_doublet_components(scheme, drive, probe, ensemble)
-        widths = [c.natural_halfwidth for c in comps]
-        scales = [c.doppler_scale for c in comps]
         ratios["Omega_over_drive_doppler"] = abs(drive.Omega) / max(drive.k * ensemble.vbar, 1e-300)
-        closed_full = np.atleast_1d(dop.doppler_weak_doublet(scheme, drive, probe, ensemble, grid))
         if closed_form_id == "eq3_2":
-            qs, d = _resolve_quadrature(quad_settings, _pole_distance(widths, scales))
-            ref = np.array([
-                velocity_average(weak_pointwise(scheme, drive, probe, x), ensemble,
-                                 drive.k, probe.k_mu, probe.theta,
-                                 settings=qs, pole_distance=d)
-                for x in grid
-            ])
-            dev = float(np.max(np.abs(closed_full - ref) / np.abs(ref)))
-            note = "averaged doublet vs Gauss-Hermite quadrature, pointwise relative"
+            dev = _quadrature_deviation(dop.weak_doublet_components, dop.doppler_weak_doublet,
+                                        weak_pointwise, scheme, drive, probe, ensemble, grid)
+            note = "averaged doublet vs trapezoidal quadrature, pointwise relative"
         else:
+            comps = dop.weak_doublet_components(scheme, drive, probe, ensemble)
+            widths = [c.natural_halfwidth for c in comps]
+            scales = [c.doppler_scale for c in comps]
+            closed_full = np.atleast_1d(dop.doppler_weak_doublet(scheme, drive, probe, ensemble, grid))
             approx = np.atleast_1d(dop.weak_doublet_gaussian(scheme, drive, probe, ensemble, grid))
             dev = float(np.max(np.abs(approx - closed_full)) / np.max(np.abs(closed_full)))
             ratios["doppler_over_width"] = min(
@@ -471,39 +509,19 @@ def certify(closed_form_id: str, parameter_set: dict, tolerance: float) -> Certi
             note = "Gaussian approximation vs full averaged doublet, peak relative"
 
     elif closed_form_id == "eq4_2":
-        comps = dop.strong_doublet_components(scheme, drive, probe, ensemble)
-        widths = [c.natural_halfwidth for c in comps]
-        scales = [c.doppler_scale for c in comps]
         ratios["G_over_drive_doppler"] = drive.G / max(drive.k * ensemble.vbar, 1e-300)
-        qs, d = _resolve_quadrature(quad_settings, _pole_distance(widths, scales))
-        closed = np.atleast_1d(dop.doppler_strong_doublet(scheme, drive, probe, ensemble, grid))
-        ref = np.array([
-            velocity_average(strong_pointwise(scheme, drive, probe, x), ensemble,
-                             drive.k, probe.k_mu, probe.theta,
-                             settings=qs, pole_distance=d)
-            for x in grid
-        ])
-        dev = float(np.max(np.abs(closed - ref) / np.abs(ref)))
-        note = "averaged dressed doublet vs Gauss-Hermite quadrature, pointwise relative"
+        dev = _quadrature_deviation(dop.strong_doublet_components, dop.doppler_strong_doublet,
+                                    strong_pointwise, scheme, drive, probe, ensemble, grid)
+        note = "averaged dressed doublet vs trapezoidal quadrature, pointwise relative"
 
     else:  # eq5_2
         ratios.update(dop.triplet_regime_ratios(scheme, drive, ensemble))
         regime_ok = all(v >= 10.0 for v in ratios.values())
         regime_note = ("strong-drive triplet limit needs G at least 10x each of "
                        "|Omega|, Gamma, k*vbar")
-        comps = dop.triplet_components(scheme, drive, probe, ensemble)
-        widths = [c.natural_halfwidth for c in comps]
-        scales = [c.doppler_scale for c in comps]
-        qs, d = _resolve_quadrature(quad_settings, _pole_distance(widths, scales))
-        closed = np.atleast_1d(dop.fluorescence_triplet(scheme, drive, probe, ensemble, grid))
-        ref = np.array([
-            velocity_average(triplet_pointwise(scheme, drive, probe, x), ensemble,
-                             drive.k, probe.k_mu, probe.theta,
-                             settings=qs, pole_distance=d)
-            for x in grid
-        ])
-        dev = float(np.max(np.abs(closed - ref) / np.abs(ref)))
-        note = "averaged triplet vs Gauss-Hermite quadrature, pointwise relative"
+        dev = _quadrature_deviation(dop.triplet_components, dop.fluorescence_triplet,
+                                    triplet_pointwise, scheme, drive, probe, ensemble, grid)
+        note = "averaged triplet vs trapezoidal quadrature, pointwise relative"
 
     passed = bool(dev <= tolerance) and regime_ok
     if not regime_ok:

@@ -25,7 +25,6 @@ from dresslines import (
     memory_factors,
     strong_doublet_components,
     triplet_components,
-    triplet_resonance_positions,
     voigt_density,
     weak_doublet_components,
     weak_doublet_gaussian,
@@ -311,25 +310,6 @@ def test_triplet_peak_height_ratio():
     center = fluorescence_triplet(scheme, drive, probe, ENS, 0.0)
     side = fluorescence_triplet(scheme, drive, probe, ENS, 600.0)
     assert center / side == pytest.approx(2.0, rel=1e-3)
-
-
-def test_triplet_resonance_positions_limits():
-    scheme = LevelScheme(gamma_m=1.0, gamma_n=1.0, gamma_l=1.0)
-    # strong drive: centers collapse to Omega and Omega +- 2G
-    drive = DriveField(G=500.0, Omega=2.0, k=1.0)
-    pair = dressed_exponents(scheme, drive)
-    descs = triplet_resonance_positions(pair, 1.0, 1.0, 0.7)
-    centers = sorted(d.center for d in descs)
-    assert centers[0] == pytest.approx(2.0 - 1000.0, rel=1e-3)
-    assert centers[1] == pytest.approx(2.0, abs=0.1)
-    assert centers[2] == pytest.approx(2.0, abs=0.1)
-    assert centers[3] == pytest.approx(2.0 + 1000.0, rel=1e-3)
-    q = effective_q(1.0, 1.0, 0.7, 1.0)
-    assert {round(d.doppler_q, 12) for d in descs} == {round(q, 12), 1.0}
-    # no drive: the correlated pair sits at Omega, the bare pair at 0 and 2*Omega
-    pair0 = dressed_exponents(scheme, DriveField(G=0.0, Omega=9.0))
-    centers0 = sorted(d.center for d in triplet_resonance_positions(pair0, 1.0, 1.0, 0.0))
-    assert centers0 == pytest.approx([0.0, 9.0, 9.0, 18.0], abs=1e-10)
 
 
 def test_fwhm_known_shapes():

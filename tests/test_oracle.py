@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dresslines import (
     CLOSED_FORM_IDS,
@@ -19,13 +21,17 @@ from dresslines import (
     doppler_strong_doublet,
     doppler_weak_doublet,
     drive_trajectory,
+    strong_doublet_components,
     strong_pointwise,
     velocity_average,
+    voigt_density,
     w_mu_exact,
     w_mu_time_domain,
     w_mu_time_domain_grid,
+    weak_doublet_components,
     weak_pointwise,
 )
+from dresslines.oracle import _pole_distance
 
 SCHEME = LevelScheme(gamma_m=1.0, gamma_n=2.0, gamma_l=0.5)
 DRIVE = DriveField(G=3.0, Omega=4.0, k=2.0)
@@ -85,10 +91,6 @@ def test_settings_validation():
         OdeSettings(horizon=-1.0)
     with pytest.raises(ValueError):
         OdeSettings(horizon_factor=5.0)
-    with pytest.raises(ValueError):
-        QuadratureSettings(nodes=4)
-    with pytest.raises(ValueError):
-        QuadratureSettings(chunk=0)
 
 
 def test_velocity_average_constant():
@@ -97,53 +99,63 @@ def test_velocity_average_constant():
 
 
 def test_velocity_average_polynomial_moments():
-    # Gauss-Hermite is exact for polynomials, so second moments come out
-    # to machine precision even at the minimum node count.
-    s8 = QuadratureSettings(nodes=8)
-    got = velocity_average(lambda kv, kmuv: kv**2, ENS, 2.0, 0.0, 0.0, settings=s8)
+    # A polynomial has no pole, so the coarsest step (pole distance
+    # infinity) must still give second moments to machine precision.
+    inf = math.inf
+    got = velocity_average(lambda kv, kmuv: kv**2, ENS, 2.0, 0.0, 0.0, pole_distance=inf)
     assert got == pytest.approx(2.0**2 / 2, rel=1e-13)
     got = velocity_average(lambda kv, kmuv: kmuv**2, ENS, 2.0, 3.0, math.pi / 3,
-                           settings=s8)
+                           pole_distance=inf)
     assert got == pytest.approx(3.0**2 / 2, rel=1e-13)
     got = velocity_average(lambda kv, kmuv: kv * kmuv, ENS, 2.0, 3.0, math.pi / 3,
-                           settings=s8)
+                           pole_distance=inf)
     assert got == pytest.approx(2.0 * 3.0 * 0.5 / 2, rel=1e-13)
 
 
 def test_velocity_average_collinear_consistency():
+    # half-width 5 over the Doppler scale |k_mu - k|*vbar = 2
     fn = lambda kv, kmuv: 1.0 / (25.0 + (kmuv - kv) ** 2)
-    s = QuadratureSettings(nodes=600)
-    flat = velocity_average(fn, ENS, 8.0, 6.0, 0.0, settings=s)
-    tilted = velocity_average(fn, ENS, 8.0, 6.0, 1e-9, settings=s)
+    d = _pole_distance([5.0], [abs(6.0 - 8.0) * ENS.vbar])
+    flat = velocity_average(fn, ENS, 8.0, 6.0, 0.0, pole_distance=d)
+    tilted = velocity_average(fn, ENS, 8.0, 6.0, 1e-9, pole_distance=d)
     assert tilted == pytest.approx(flat, rel=1e-10)
 
 
 def test_velocity_average_doubling_check():
+    # the pole of `sharp` sits at distance 0.01; a step worked out for 100x
+    # that distance is far too coarse, and halving it must show so
     sharp = lambda kv, kmuv: 0.01 / (1e-4 + kmuv**2)
     with pytest.raises(ConvergenceError):
         velocity_average(sharp, ENS, 0.0, 1.0, 0.0,
-                         settings=QuadratureSettings(nodes=8, doubling_check=True))
+                         settings=QuadratureSettings(doubling_check=True),
+                         pole_distance=1.0)
+    # a Gaussian has no pole, but off the real axis it grows as the weight
+    # does, so it needs a finite pole distance; the same d = 1 resolves it
     smooth = lambda kv, kmuv: np.exp(-(kmuv**2))
     val = velocity_average(smooth, ENS, 0.0, 1.0, 0.0,
-                           settings=QuadratureSettings(nodes=64, doubling_check=True))
+                           settings=QuadratureSettings(doubling_check=True),
+                           pole_distance=1.0)
     assert val == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
 
 def test_velocity_average_node_resolution_errors():
     fn = lambda kv, kmuv: np.ones_like(kv)
     with pytest.raises(ValueError):
-        velocity_average(fn, ENS, 1.0, 1.0, 0.0)  # no nodes, no pole distance
-    with pytest.raises(ValueError):
-        velocity_average(fn, ENS, 1.0, 1.0, 0.0, pole_distance=0.05)
+        velocity_average(fn, ENS, 1.0, 1.0, 0.0)  # no pole distance
+    # below d = 0.0085 a step would need more than 8400 points per axis
+    for d in (0.008, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="pole distance"):
+            velocity_average(fn, ENS, 1.0, 1.0, 0.0, pole_distance=d)
 
 
 def test_weak_pointwise_average_matches_closed_form():
     drive = DriveField(G=1.0, Omega=600.0, k=8.0)
     probe = ProbeField(G_mu=1e-3, k_mu=6.0, theta=0.0)
+    comps = weak_doublet_components(SCHEME, drive, probe, ENS)
+    d = _pole_distance([c.natural_halfwidth for c in comps], [c.doppler_scale for c in comps])
     for x in (0.0, 598.0, 604.0):
         ref = velocity_average(weak_pointwise(SCHEME, drive, probe, x), ENS,
-                               drive.k, probe.k_mu, probe.theta,
-                               settings=QuadratureSettings(nodes=2500))
+                               drive.k, probe.k_mu, probe.theta, pole_distance=d)
         closed = doppler_weak_doublet(SCHEME, drive, probe, ENS, x)
         assert closed == pytest.approx(ref, rel=1e-9)
 
@@ -151,12 +163,44 @@ def test_weak_pointwise_average_matches_closed_form():
 def test_strong_pointwise_average_matches_closed_form():
     drive = DriveField(G=3.0, Omega=4.0, k=3.0)
     probe = ProbeField(G_mu=1e-3, k_mu=3.0, theta=0.0)
+    comps = strong_doublet_components(SCHEME, drive, probe, ENS)
+    d = _pole_distance([c.natural_halfwidth for c in comps], [c.doppler_scale for c in comps])
     for x in (-4.0, 1.0, 6.5):
         ref = velocity_average(strong_pointwise(SCHEME, drive, probe, x), ENS,
-                               drive.k, probe.k_mu, probe.theta,
-                               settings=QuadratureSettings(nodes=600))
+                               drive.k, probe.k_mu, probe.theta, pole_distance=d)
         closed = doppler_strong_doublet(SCHEME, drive, probe, ENS, x)
         assert closed == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [0.05, 0.011])
+def test_weak_doublet_2d_average_at_small_pole_distance(d):
+    # Equal wave vectors at right angles: the correlated scale sqrt(2)*k
+    # is the larger one, so k sets the pole distance to d.
+    k = min(c for c in (SCHEME.gamma_l + SCHEME.gamma_m,
+                        SCHEME.gamma_l + SCHEME.gamma_n)) / (math.sqrt(2.0) * d)
+    drive = DriveField(G=1.0, Omega=600.0, k=k)
+    probe = ProbeField(G_mu=1e-3, k_mu=k, theta=math.pi / 2)
+    comps = weak_doublet_components(SCHEME, drive, probe, ENS)
+    got_d = _pole_distance([c.natural_halfwidth for c in comps], [c.doppler_scale for c in comps])
+    assert got_d == pytest.approx(d, rel=1e-12)
+    for x in (0.0, 600.0):
+        ref = velocity_average(weak_pointwise(SCHEME, drive, probe, x), ENS,
+                               drive.k, probe.k_mu, probe.theta, pole_distance=got_d)
+        closed = doppler_weak_doublet(SCHEME, drive, probe, ENS, x)
+        assert closed == pytest.approx(ref, rel=1e-8)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(d=st.floats(min_value=0.01, max_value=20.0),
+       scale=st.floats(min_value=0.1, max_value=10.0),
+       u=st.floats(min_value=-4.0, max_value=4.0))
+def test_velocity_average_of_lorentzian_is_voigt(d, scale, u):
+    # One Lorentzian seen through the probe's Doppler shift, averaged on
+    # the probe axis alone, is the Voigt profile of the closed forms.
+    a, x = d * scale, u * scale
+    fn = lambda kv, kmuv: a / (a * a + (x - kmuv) ** 2)
+    got = velocity_average(fn, ENS, 0.0, scale / ENS.vbar, 0.0, pole_distance=d)
+    assert got == pytest.approx(voigt_density(a, x, scale), rel=1e-10)
 
 
 def test_certify_rejects_unknown_inputs():
