@@ -11,8 +11,6 @@ nearest line-shape pole) that certify every closed form.
 
 from .dressed import (
     DressedPair,
-    amplitude_m,
-    amplitude_n,
     doublet_resolved,
     dressed_exponents,
     memory_factors,
@@ -53,17 +51,14 @@ from .oracle import (
     OdeSettings,
     QuadratureSettings,
     certify,
-    drive_trajectory,
     strong_pointwise,
     triplet_pointwise,
     velocity_average,
-    w_mu_time_domain,
     w_mu_time_domain_grid,
     weak_pointwise,
 )
 from .stationary import (
     WeakFieldBreakdown,
-    predicted_peaks,
     w_mu_exact,
     w_mu_weak,
     weak_field_ratio,
@@ -86,15 +81,12 @@ __all__ = [
     "RegimeError",
     "ThermalEnsemble",
     "WeakFieldBreakdown",
-    "amplitude_m",
-    "amplitude_n",
     "apply_process_signs",
     "certify",
     "doppler_strong_doublet",
     "doppler_weak_doublet",
     "doublet_resolved",
     "dressed_exponents",
-    "drive_trajectory",
     "effective_q",
     "erfcx_complex",
     "find_peak",
@@ -102,7 +94,6 @@ __all__ = [
     "fwhm",
     "integrated_intensity",
     "memory_factors",
-    "predicted_peaks",
     "rabi_from_field",
     "strong_doublet_components",
     "strong_pointwise",
@@ -114,7 +105,6 @@ __all__ = [
     "velocity_average",
     "voigt_density",
     "w_mu_exact",
-    "w_mu_time_domain",
     "w_mu_time_domain_grid",
     "w_mu_weak",
     "weak_doublet_components",

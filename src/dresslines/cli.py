@@ -149,10 +149,20 @@ def _check_certify(c):
             raise ConfigError(f"invalid certify parameters for {cid!r}: {e}") from e
 
 
+def _finite_number(text):
+    """JSON number hook: NaN, Infinity and literals beyond the float range
+    are errors; an integer literal stays an int."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(f"config number {text} is not finite")
+    return int(text) if text.lstrip("-").isdigit() else x
+
+
 def load_config(path, job: str) -> JobConfig:
     """Read and validate one JSON config against the declared subcommand."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_float=_finite_number,
+                         parse_int=_finite_number, parse_constant=_finite_number)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
@@ -272,7 +282,7 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _measure_component(density, center, window, label):
+def _measure_component(density, window, label):
     """Numeric peak/FWHM/area of one component of `density` inside `window`."""
     lo, hi = window
     try:
@@ -304,8 +314,8 @@ def _regime_ratios(cfg) -> dict:
     drive, scheme, probe = cfg.drive, cfg.scheme, cfg.probe
     out = {"G_over_weak_scale": weak_field_ratio(scheme, drive)}
     kv = drive.k * cfg.ensemble.vbar if cfg.ensemble else 0.0
-    out["Omega_over_drive_doppler"] = abs(drive.Omega) / kv if kv else math.inf
-    out["G_over_drive_doppler"] = drive.G / kv if kv else math.inf
+    out["Omega_over_drive_doppler"] = dop.regime_ratio(abs(drive.Omega), kv)
+    out["G_over_drive_doppler"] = dop.regime_ratio(drive.G, kv)
     return out
 
 
@@ -330,10 +340,10 @@ def run_spectrum_job(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
     comps = []
     if resolved and lo < centers[0] and centers[1] < hi:
         windows = _component_windows(centers, lo, hi)
-        for i, c in enumerate(centers):
-            comps.append(_measure_component(density, c, windows[i], f"dressed{i + 1}"))
+        for i in range(len(centers)):
+            comps.append(_measure_component(density, windows[i], f"dressed{i + 1}"))
     else:
-        comps.append(_measure_component(density, 0.5 * (lo + hi), (lo, hi), "total"))
+        comps.append(_measure_component(density, (lo, hi), "total"))
 
     summary = LineSummary(
         components=comps,
@@ -379,9 +389,9 @@ def run_averaged_job(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
     if all(lo < c < hi for c in centers) and len(set(centers)) == len(centers):
         windows = _component_windows(centers, lo, hi)
         for i, c in enumerate(comps):
-            measured.append(_measure_component(density, c.center, windows[i], c.label))
+            measured.append(_measure_component(density, windows[i], c.label))
     else:
-        measured.append(_measure_component(density, 0.5 * (lo + hi), (lo, hi), "total"))
+        measured.append(_measure_component(density, (lo, hi), "total"))
 
     resolved = None
     if cfg.job == "doublet":
@@ -426,7 +436,7 @@ def run_theta_scan(cfg: JobConfig, out_dir: Path, base: str, fmt: str,
         for c in sorted(comps, key=lambda c: (c.center, c.label)):
             half_span = 60.0 * (c.natural_halfwidth + c.doppler_scale)
             window = (c.center - half_span, c.center + half_span)
-            m = _measure_component(c.density, c.center, window, c.label)
+            m = _measure_component(c.density, window, c.label)
             rows.append((theta, c.label, m.center, m.fwhm, m.peak_height, m.area))
         return rows
 

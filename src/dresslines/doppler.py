@@ -312,15 +312,21 @@ def fluorescence_triplet(scheme, drive, probe, ensemble, Omega_mu):
     return density_sum(triplet_components(scheme, drive, probe, ensemble), Omega_mu)
 
 
+def regime_ratio(numerator: float, scale: float) -> float:
+    """numerator/scale for a regime diagnostic; math.inf when scale is zero.
+
+    The one zero-scale rule for every ratio over a Doppler scale or a rate:
+    a vanishing scale satisfies any "much larger than" limit without bound.
+    """
+    return numerator / scale if scale != 0.0 else math.inf
+
+
 def triplet_regime_ratios(scheme, drive, ensemble) -> dict:
     """How deeply the strong-drive triplet limit is satisfied (larger is better)."""
-    Gamma = scheme.gamma_sum
-    kv = drive.k * ensemble.vbar
-    tiny = 1e-300
     return {
-        "G_over_Omega": drive.G / max(abs(drive.Omega), tiny),
-        "G_over_Gamma": drive.G / Gamma,
-        "G_over_doppler": drive.G / max(kv, tiny),
+        "G_over_Omega": regime_ratio(drive.G, abs(drive.Omega)),
+        "G_over_Gamma": regime_ratio(drive.G, scheme.gamma_sum),
+        "G_over_doppler": regime_ratio(drive.G, drive.k * ensemble.vbar),
     }
 
 

@@ -1,4 +1,4 @@
-"""Dressed-pair decay exponents and transient amplitudes of the driven m-n pair.
+"""Dressed-pair decay exponents and memory factors of the driven m-n pair.
 
 The strongly driven two-level subsystem (upper m, lower n, coupling G,
 detuning Omega) relaxes through two complex exponents alpha_1, alpha_2.
@@ -23,28 +23,20 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import DriveField, LevelScheme, RegimeError
 
 
 @dataclass(frozen=True)
 class DressedPair:
-    """Exponents, amplitude weights and memory factors of the driven pair.
+    """Exponents of the driven pair.
 
     alpha1, alpha2: complex decay exponents, labeled as described above.
-    M1, M2: memory factors, the fraction of the drive wave vector imprinted
-        on each dressed component (NaN when undefined, i.e. G = Omega = 0).
     Gamma: total damping gamma_m + gamma_n.
-    gamma_diff: damping asymmetry gamma_n - gamma_m.
     """
 
     alpha1: complex
     alpha2: complex
-    M1: float
-    M2: float
     Gamma: float
-    gamma_diff: float
 
     @property
     def splitting(self) -> complex:
@@ -54,33 +46,15 @@ class DressedPair:
     def is_degenerate(self) -> bool:
         """Confluent point: the exponents coincide to 1e-8 of the pair's scale.
 
-        The one rule for the exponential weights (NaN here), the doublet
-        decompositions (RegimeError) and amplitude_m/n (the t*exp form).
+        The one rule for the doublet decompositions, which raise RegimeError
+        here.
         """
         scale = self.Gamma + abs(self.alpha1.imag) + abs(self.alpha2.imag)
         return abs(self.splitting) < 1e-8 * max(scale, 1e-300)
 
-    @property
-    def A1(self) -> complex:
-        """Weight (alpha_1 - gamma_m)/(alpha_1 - alpha_2) of exp(-alpha_1 t) in a_n."""
-        if self.is_degenerate:
-            return complex(math.nan, math.nan)
-        return (self.alpha1 - self.gamma_m) / self.splitting
-
-    @property
-    def A2(self) -> complex:
-        """Weight (gamma_m - alpha_2)/(alpha_1 - alpha_2) of exp(-alpha_2 t); A1 + A2 = 1."""
-        if self.is_degenerate:
-            return complex(math.nan, math.nan)
-        return (self.gamma_m - self.alpha2) / self.splitting
-
-    @property
-    def gamma_m(self) -> float:
-        return 0.5 * (self.Gamma - self.gamma_diff)
-
 
 def dressed_exponents(scheme: LevelScheme, drive: DriveField) -> DressedPair:
-    """Exponents and weights of the driven m-n pair.
+    """Exponents of the driven m-n pair.
 
     Uses the half-sum/half-difference form
 
@@ -88,8 +62,7 @@ def dressed_exponents(scheme: LevelScheme, drive: DriveField) -> DressedPair:
         S = sqrt(G**2 + ((Omega - i*gamma_diff)/2)**2)
 
     with the principal branch of the square root, then swaps to enforce the
-    labeling convention.  The weights A1, A2 follow from the exponents as
-    properties of the pair.
+    labeling convention.
     """
     G = drive.G
     Omega = drive.Omega
@@ -104,13 +77,7 @@ def dressed_exponents(scheme: LevelScheme, drive: DriveField) -> DressedPair:
     if (a.imag, -a.real) < (b.imag, -b.real):
         a, b = b, a
 
-    try:
-        M1, M2 = memory_factors(drive)
-    except RegimeError:
-        M1 = math.nan
-        M2 = math.nan
-
-    return DressedPair(alpha1=a, alpha2=b, M1=M1, M2=M2, Gamma=Gamma, gamma_diff=gd)
+    return DressedPair(alpha1=a, alpha2=b, Gamma=Gamma)
 
 
 def memory_factors(drive: DriveField) -> tuple[float, float]:
@@ -127,38 +94,6 @@ def memory_factors(drive: DriveField) -> tuple[float, float]:
     M1 = 0.5 * (1.0 + Omega / r)
     M2 = 0.5 * (1.0 - Omega / r)
     return M1, M2
-
-
-def amplitude_m(pair: DressedPair, G: float, t):
-    """Upper-state amplitude a_m(t) for the start condition a_n(0) = 1.
-
-    a_m(t) = i*G * (exp(-alpha_2 t) - exp(-alpha_1 t)) / (alpha_1 - alpha_2),
-    degenerating to i*G*t*exp(-alpha t) at the confluent point.  Accepts
-    scalar or array t.
-    """
-    t = np.asarray(t, dtype=float)
-    if pair.is_degenerate:
-        alpha = 0.5 * (pair.alpha1 + pair.alpha2)
-        out = 1j * G * t * np.exp(-alpha * t)
-    else:
-        split = pair.splitting
-        out = 1j * G * (np.exp(-pair.alpha2 * t) - np.exp(-pair.alpha1 * t)) / split
-    return out if out.shape else complex(out)
-
-
-def amplitude_n(pair: DressedPair, t):
-    """Lower-state amplitude a_n(t) in the drive rotating frame, a_n(0) = 1.
-
-    a_n(t) = A_1 exp(-alpha_1 t) + A_2 exp(-alpha_2 t).  The modulus is
-    frame independent.  Scalar or array t.
-    """
-    t = np.asarray(t, dtype=float)
-    if pair.is_degenerate:
-        alpha = 0.5 * (pair.alpha1 + pair.alpha2)
-        out = (1.0 - (alpha - pair.gamma_m) * t) * np.exp(-alpha * t)
-    else:
-        out = pair.A1 * np.exp(-pair.alpha1 * t) + pair.A2 * np.exp(-pair.alpha2 * t)
-    return out if out.shape else complex(out)
 
 
 def doublet_resolved(pair: DressedPair, gamma_l: float) -> bool:

@@ -18,7 +18,7 @@ and reports deviations together with regime diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -44,6 +44,10 @@ _HALF_SPAN = math.sqrt(_LOG_INV_EPS)
 # 2-D grid, which is evaluated _BLOCK_ROWS rows at a time to bound memory.
 _MAX_POINTS = 8400
 _BLOCK_ROWS = 64
+# The time-domain route stops at _HORIZON_FACTOR slowest decay times, where
+# the dropped tail exp(-2*_HORIZON_FACTOR) lies far below 1e-10.
+_HORIZON_FACTOR = 40.0
+_ODE_METHOD = "DOP853"
 
 
 class ConvergenceError(RuntimeError):
@@ -52,27 +56,21 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class OdeSettings:
-    """Step control and horizon policy for the time-domain route.
+    """Step tolerances of the time-domain route.
 
-    horizon_factor sets T = horizon_factor / min(Re alpha_1, Re alpha_2,
-    gamma_l) unless an explicit horizon is given; the factor must keep the
-    tail bound exp(-2*min_rate*T) below 1e-10.
+    The DOP853 integration runs to the fixed horizon
+    T = 40 / min(Re alpha_1, Re alpha_2, gamma_l), where the tail bound
+    exp(-2*min_rate*T) = exp(-80) lies far below 1e-10.  With check the
+    run is repeated at halved tolerances (see w_mu_time_domain_grid).
     """
 
     rtol: float = 1e-11
     atol: float = 1e-13
-    horizon: float | None = None
-    horizon_factor: float = 40.0
-    method: str = "DOP853"
     check: bool = False
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be > 0")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ValueError("horizon must be > 0 when given")
-        if math.exp(-2.0 * self.horizon_factor) >= 1e-10:
-            raise ValueError("horizon_factor too small for the 1e-10 tail bound")
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,7 @@ def _doppler_shifts(drive, probe, velocity):
     return kdotv, kmudotv
 
 
-def _solve_emission(scheme, drive, probe, Omega_mu_grid, velocity, settings):
+def _solve_emission(scheme, drive, probe, Omega_mu_grid, velocity, rtol, atol):
     gm, gn, gl = scheme.gamma_m, scheme.gamma_n, scheme.gamma_l
     kdotv, kmudotv = _doppler_shifts(drive, probe, velocity)
     Om = drive.Omega - kdotv
@@ -103,7 +101,7 @@ def _solve_emission(scheme, drive, probe, Omega_mu_grid, velocity, settings):
 
     pair = dressed_exponents(scheme, DriveField(G=drive.G, Omega=Om))
     min_rate = min(pair.alpha1.real, pair.alpha2.real, gl)
-    T = settings.horizon if settings.horizon is not None else settings.horizon_factor / min_rate
+    T = _HORIZON_FACTOR / min_rate
 
     G = drive.G
     G_mu = probe.G_mu
@@ -122,65 +120,37 @@ def _solve_emission(scheme, drive, probe, Omega_mu_grid, velocity, settings):
 
     y0 = np.zeros(2 + 2 * n, dtype=complex)
     y0[1] = 1.0
-    sol = solve_ivp(rhs, (0.0, T), y0, method=settings.method,
-                    rtol=settings.rtol, atol=settings.atol)
+    sol = solve_ivp(rhs, (0.0, T), y0, method=_ODE_METHOD, rtol=rtol, atol=atol)
     if not sol.success:
         raise ConvergenceError(f"time-domain integration failed: {sol.message}")
     return sol.y[2 + n:, -1].real.copy()
 
 
-def w_mu_time_domain(scheme, drive, probe, velocity=(0.0, 0.0, 0.0),
-                     settings: OdeSettings | None = None) -> float:
-    """Emission density at probe.Omega_mu by direct integration.
-
-    The drive pair (a_m, a_n) evolves exactly; the probed amplitude a_l is
-    carried to first order in G_mu and 2*gamma_l*int|a_l|^2 dt accumulated
-    to the horizon.  Velocity enters only through the two Doppler shifts.
-    With settings.check the run is repeated at halved tolerances and a
-    disagreement beyond 100x rtol raises ConvergenceError.
-    """
-    settings = settings or OdeSettings()
-    w = _solve_emission(scheme, drive, probe, [probe.Omega_mu], velocity, settings)[0]
-    if settings.check:
-        tighter = OdeSettings(rtol=settings.rtol / 2.0, atol=settings.atol / 2.0,
-                              horizon=settings.horizon,
-                              horizon_factor=settings.horizon_factor,
-                              method=settings.method, check=False)
-        w2 = _solve_emission(scheme, drive, probe, [probe.Omega_mu], velocity, tighter)[0]
-        if abs(w - w2) > 100.0 * settings.rtol * max(abs(w), abs(w2)):
-            raise ConvergenceError(
-                f"tolerance halving moved the result: {w!r} vs {w2!r}"
-            )
-        w = w2
-    return float(w)
-
-
 def w_mu_time_domain_grid(scheme, drive, probe, grid, velocity=(0.0, 0.0, 0.0),
                           settings: OdeSettings | None = None):
-    """Vectorized w_mu_time_domain: one drive solve shared by all grid points."""
+    """Emission density at each probe detuning in grid by direct integration.
+
+    The drive pair (a_m, a_n) evolves exactly; each probed amplitude a_l is
+    carried to first order in G_mu and 2*gamma_l*int|a_l|^2 dt accumulated
+    to the horizon, one drive solve shared by all grid points.  Velocity
+    enters only through the two Doppler shifts.  With settings.check the
+    run is repeated at halved tolerances, a disagreement beyond 100x rtol at
+    any point raises ConvergenceError, and the tighter run is returned.
+    """
     settings = settings or OdeSettings()
-    return _solve_emission(scheme, drive, probe, grid, velocity, settings)
-
-
-def drive_trajectory(scheme, drive, times, velocity=(0.0, 0.0, 0.0),
-                     settings: OdeSettings | None = None):
-    """Rotating-frame (a_m, a_n) sampled at `times` by direct integration."""
-    settings = settings or OdeSettings()
-    gm, gn = scheme.gamma_m, scheme.gamma_n
-    kdotv = drive.k * float(velocity[0])
-    Om = drive.Omega - kdotv
-    G = drive.G
-
-    def rhs(t, y):
-        return [-gm * y[0] + 1j * G * y[1], -(gn + 1j * Om) * y[1] + 1j * G * y[0]]
-
-    times = np.asarray(times, dtype=float)
-    sol = solve_ivp(rhs, (0.0, float(times[-1])), np.array([0, 1], dtype=complex),
-                    t_eval=times, method=settings.method,
-                    rtol=settings.rtol, atol=settings.atol)
-    if not sol.success:
-        raise ConvergenceError(f"trajectory integration failed: {sol.message}")
-    return sol.y[0], sol.y[1]
+    w = _solve_emission(scheme, drive, probe, grid, velocity, settings.rtol, settings.atol)
+    if settings.check:
+        w2 = _solve_emission(scheme, drive, probe, grid, velocity,
+                             settings.rtol / 2.0, settings.atol / 2.0)
+        moved = np.abs(w - w2) > 100.0 * settings.rtol * np.maximum(np.abs(w), np.abs(w2))
+        if np.any(moved):
+            i = int(np.argmax(moved))
+            raise ConvergenceError(
+                f"tolerance halving moved the result at grid point {i}: "
+                f"{w[i]!r} vs {w2[i]!r}"
+            )
+        w = w2
+    return w
 
 
 def _trapezoid_step(d: float) -> float:
@@ -352,16 +322,7 @@ class CertifyReport:
     explanation: str
 
     def to_dict(self):
-        return {
-            "closed_form_id": self.closed_form_id,
-            "max_rel_dev": self.max_rel_dev,
-            "tolerance": self.tolerance,
-            "n_points": self.n_points,
-            "regime_ratios": dict(self.regime_ratios),
-            "regime_ok": self.regime_ok,
-            "passed": self.passed,
-            "explanation": self.explanation,
-        }
+        return asdict(self)
 
 
 _DEFAULTS = {
@@ -490,7 +451,8 @@ def certify(closed_form_id: str, parameter_set: dict, tolerance: float) -> Certi
         note = "weak-drive form vs time-domain integration, peak relative"
 
     elif closed_form_id in ("eq3_2", "eq3_3"):
-        ratios["Omega_over_drive_doppler"] = abs(drive.Omega) / max(drive.k * ensemble.vbar, 1e-300)
+        ratios["Omega_over_drive_doppler"] = dop.regime_ratio(abs(drive.Omega),
+                                                              drive.k * ensemble.vbar)
         if closed_form_id == "eq3_2":
             dev = _quadrature_deviation(dop.weak_doublet_components, dop.doppler_weak_doublet,
                                         weak_pointwise, scheme, drive, probe, ensemble, grid)
@@ -503,13 +465,13 @@ def certify(closed_form_id: str, parameter_set: dict, tolerance: float) -> Certi
             approx = np.atleast_1d(dop.weak_doublet_gaussian(scheme, drive, probe, ensemble, grid))
             dev = float(np.max(np.abs(approx - closed_full)) / np.max(np.abs(closed_full)))
             ratios["doppler_over_width"] = min(
-                s / w for s, w in zip(scales, widths)) if all(s > 0 for s in scales) else 0.0
+                dop.regime_ratio(s, w) for s, w in zip(scales, widths))
             regime_ok = ratios["doppler_over_width"] >= 100.0
             regime_note = "Gaussian form needs every Doppler scale >= 100x its natural width"
             note = "Gaussian approximation vs full averaged doublet, peak relative"
 
     elif closed_form_id == "eq4_2":
-        ratios["G_over_drive_doppler"] = drive.G / max(drive.k * ensemble.vbar, 1e-300)
+        ratios["G_over_drive_doppler"] = dop.regime_ratio(drive.G, drive.k * ensemble.vbar)
         dev = _quadrature_deviation(dop.strong_doublet_components, dop.doppler_strong_doublet,
                                     strong_pointwise, scheme, drive, probe, ensemble, grid)
         note = "averaged dressed doublet vs trapezoidal quadrature, pointwise relative"

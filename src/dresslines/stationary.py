@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dressed import DressedPair
-from .model import DriveField, LevelScheme, ProbeField, RegimeError
+from .model import DriveField, LevelScheme, RegimeError
 
 
 @dataclass(frozen=True)
@@ -141,8 +140,3 @@ def w_mu_weak(scheme, drive, probe, Omega_mu, include_interference: bool = True)
         coupling_ratio=weak_field_ratio(scheme, drive),
     )
     return (w if w.shape else float(w)), breakdown
-
-
-def predicted_peaks(pair: DressedPair) -> tuple[float, float]:
-    """Resolved-regime peak positions: the exponents' imaginary parts."""
-    return pair.alpha1.imag, pair.alpha2.imag

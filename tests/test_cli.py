@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dresslines import DriveField, LevelScheme, ProbeField, w_mu_exact
+from dresslines import DriveField, LevelScheme, ProbeField, oracle, w_mu_exact
 from dresslines.cli import main
 
 SCHEME = {"gamma_m": 1.0, "gamma_n": 2.0, "gamma_l": 0.5}
@@ -126,23 +126,45 @@ def test_doublet_job(tmp_path):
     assert centers[1] - centers[0] == pytest.approx(math.hypot(5.0, 60.0), abs=0.5)
 
 
-def test_triplet_job(tmp_path):
-    cfg = {
+def triplet_config(**drive):
+    return {
         "schema_version": 1,
         "job": "triplet",
         "scheme": {"gamma_m": 1.0, "gamma_n": 1.0, "gamma_l": 1.0},
-        "drive": {"G": 120.0, "Omega": 0.0, "k": 6.0},
+        "drive": {"G": 120.0, "Omega": 0.0, "k": 6.0, **drive},
         "probe": {"G_mu": 1e-3, "k_mu": 6.0, "theta": 0.4},
         "ensemble": {"vbar": 1.0},
         "grid": {"min": -320.0, "max": 320.0, "count": 161},
     }
-    cfg_path = write_config(tmp_path, "trip.json", cfg)
+
+
+def test_triplet_job(tmp_path):
+    cfg_path = write_config(tmp_path, "trip.json", triplet_config())
     assert main(["triplet", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "trip_summary.json").read_text())
     labels = [c["label"] for c in summary["components"]]
     assert labels == ["side_low", "center", "side_high"]
     assert summary["notes"]["normalization"] == "unit total area"
-    assert all(v >= 10 for v in summary["notes"]["regime"].values())
+    regime = summary["notes"]["regime"]
+    # Omega = 0: G/|Omega| is unbounded, which JSON writes as null
+    assert regime.pop("G_over_Omega") is None
+    assert all(v >= 10 for v in regime.values())
+
+
+def test_zero_drive_doppler_ratios_are_unbounded(tmp_path):
+    # k = 0: every ratio over the drive Doppler scale is inf, in the
+    # summary's regime_ratios and its triplet notes alike, and in certify
+    cfg_path = write_config(tmp_path, "trip0.json", triplet_config(Omega=1.0, k=0.0))
+    assert main(["triplet", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "trip0_summary.json").read_text())
+    assert summary["regime_ratios"]["G_over_drive_doppler"] is None
+    assert summary["notes"]["regime"]["G_over_doppler"] is None
+    params = {"gamma_m": 1.0, "gamma_n": 1.0, "gamma_l": 1.0, "G": 120.0, "Omega": 1.0,
+              "k": 0.0, "k_mu": 6.0, "theta": 0.4, "omega_mu_min": -320.0,
+              "omega_mu_max": 320.0, "omega_mu_count": 9}
+    report = oracle.certify("eq5_2", params, 1e-8)
+    assert report.regime_ratios["G_over_doppler"] == math.inf
+    assert report.regime_ok and report.passed
 
 
 def test_triplet_rejects_kind(tmp_path):
@@ -311,9 +333,17 @@ def certify_config(**section):
      "certify.ids must be a non-empty list"),
     ("spectrum", spectrum_config(label={"name": "x"}), "label must be a string"),
     ("spectrum", spectrum_config(label=7), "label must be a string, got 7"),
+    ("spectrum", spectrum_config(grid={"min": -30.0, "max": math.inf, "count": 121}),
+     "config number Infinity is not finite"),
+    ("certify", certify_config(ids=["eq2_6"], tolerance=1e-6,
+                               parameters={"G": -math.inf}),
+     "config number -Infinity is not finite"),
+    ("certify", certify_config(ids=["eq2_6"], tolerance=math.nan),
+     "config number NaN is not finite"),
 ], ids=["theta-not-a-number", "thetas-not-a-list", "tolerance-not-a-number",
         "unknown-parameter", "empty-grid", "ids-not-a-list", "label-object",
-        "label-number"])
+        "label-number", "grid-max-infinity", "parameter-minus-infinity",
+        "tolerance-nan"])
 def test_malformed_configs_exit_2_with_one_error_line(tmp_path, capsys, job, cfg, message):
     path = write_config(tmp_path, "malformed.json", cfg)
     assert main([job, "--config", str(path), "--out", str(tmp_path)]) == 2
@@ -328,6 +358,12 @@ def test_unreadable_and_invalid_configs(tmp_path):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     assert main(["spectrum", "--config", str(garbled), "--out", str(tmp_path)]) == 2
+    # literals beyond the float range: a float parses to inf, an int
+    # fails its conversion to float, unless the loader refuses both
+    for literal in ("1e999", "1" + "0" * 400):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(spectrum_config()).replace("30.0", literal))
+        assert main(["spectrum", "--config", str(huge), "--out", str(tmp_path)]) == 2
 
 
 def test_process_kind_flows_through_spectrum(tmp_path):

@@ -11,7 +11,6 @@ from dresslines import (
     ProbeField,
     RegimeError,
     dressed_exponents,
-    predicted_peaks,
     w_mu_exact,
     w_mu_time_domain_grid,
     w_mu_weak,
@@ -57,7 +56,7 @@ def test_resolved_peaks_near_exponent_shifts():
     scheme = LevelScheme(gamma_m=0.5, gamma_n=0.7, gamma_l=0.3)
     drive = DriveField(G=15.0, Omega=6.0)
     pair = dressed_exponents(scheme, drive)
-    c1, c2 = predicted_peaks(pair)
+    c1, c2 = pair.alpha1.imag, pair.alpha2.imag
     slack = pair.alpha1.real + pair.alpha2.real + 2 * scheme.gamma_l
     grid = np.linspace(min(c1, c2) - 20, max(c1, c2) + 20, 4001)
     w = np.asarray(w_mu_exact(scheme, drive, PROBE, grid))
