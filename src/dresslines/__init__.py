@@ -49,7 +49,6 @@ from .oracle import (
     CertifyReport,
     ConvergenceError,
     OdeSettings,
-    QuadratureSettings,
     certify,
     strong_pointwise,
     triplet_pointwise,
@@ -77,7 +76,6 @@ __all__ = [
     "OdeSettings",
     "ProbeField",
     "ProcessKind",
-    "QuadratureSettings",
     "RegimeError",
     "ThermalEnsemble",
     "WeakFieldBreakdown",

@@ -18,8 +18,7 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,7 @@ from .model import (
     ProcessKind,
     RegimeError,
     ThermalEnsemble,
+    apply_process_signs,
 )
 from .stationary import w_mu_exact, weak_field_ratio
 
@@ -42,11 +42,11 @@ SCHEMA_VERSION = 1
 UNIT_NOTE = ("all rates, detunings and Doppler scales share one angular "
              "frequency unit; decay rates are amplitude half-widths")
 
+# A physics section's keys are the fields of its model class.
+_MODEL_SECTIONS = {"scheme": LevelScheme, "drive": DriveField,
+                   "probe": ProbeField, "ensemble": ThermalEnsemble}
 _SECTION_KEYS = {
-    "scheme": {"gamma_m", "gamma_n", "gamma_l", "omega_mn", "omega_ml"},
-    "drive": {"G", "Omega", "k"},
-    "probe": {"G_mu", "k_mu", "theta", "Omega_mu"},
-    "ensemble": {"vbar"},
+    **{name: {f.name for f in fields(cls)} for name, cls in _MODEL_SECTIONS.items()},
     "grid": {"min", "max", "count"},
     "certify": {"ids", "tolerance", "tolerances", "parameters", "parameters_by_id"},
 }
@@ -85,24 +85,6 @@ class ComponentSummary:
     fwhm: float | None
     peak_height: float | None
     area: float | None
-
-
-@dataclass(frozen=True)
-class LineSummary:
-    """Per-component descriptors plus regime diagnostics for one spectrum."""
-
-    components: list
-    regime_ratios: dict
-    doublet_resolved: bool | None = None
-    notes: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "components": [vars(c) for c in sorted(self.components, key=lambda c: (c.center, c.label))],
-            "regime_ratios": dict(self.regime_ratios),
-            "doublet_resolved": self.doublet_resolved,
-            "notes": dict(self.notes),
-        }
 
 
 def _check_keys(name, mapping, allowed):
@@ -187,40 +169,40 @@ def load_config(path, job: str) -> JobConfig:
     if job == "triplet" and "kind" in raw:
         raise ConfigError("the fluorescence triplet takes no process kind")
 
-    def section(name, builder, required):
+    def section(name, required):
         if name not in raw:
             if required:
                 raise ConfigError(f"config section {name!r} is required for job {job!r}")
             return None
         _check_keys(name, raw[name], _SECTION_KEYS[name])
         try:
-            return builder(**raw[name])
+            return _MODEL_SECTIONS[name](**raw[name])
         except (TypeError, ValueError) as e:
             raise ConfigError(f"invalid {name!r} section: {e}") from e
 
     needs_physics = job != "certify"
     needs_ensemble = job in ("doppler", "doublet", "triplet", "scan")
-    scheme = section("scheme", LevelScheme, needs_physics)
-    drive = section("drive", DriveField, needs_physics)
-    probe = section("probe", ProbeField, needs_physics)
-    ensemble = section("ensemble", ThermalEnsemble, needs_ensemble)
+    scheme = section("scheme", needs_physics)
+    drive = section("drive", needs_physics)
+    probe = section("probe", needs_physics)
+    ensemble = section("ensemble", needs_ensemble)
 
     grid = None
     if job in ("spectrum", "doppler", "doublet", "triplet"):
         if "grid" not in raw:
             raise ConfigError(f"config section 'grid' is required for job {job!r}")
-        _check_keys("grid", raw["grid"], _SECTION_KEYS["grid"])
-        try:
-            lo = float(raw["grid"]["min"])
-            hi = float(raw["grid"]["max"])
-            count = int(raw["grid"]["count"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"invalid 'grid' section: {e}") from e
+        g = raw["grid"]
+        _check_keys("grid", g, _SECTION_KEYS["grid"])
+        lo, hi, count = g.get("min"), g.get("max"), g.get("count")
+        if not (_is_number(lo) and _is_number(hi)):
+            raise ConfigError(f"grid min and max must be numbers, got {lo!r} and {hi!r}")
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ConfigError(f"grid count must be an integer, got {count!r}")
         if count < 2:
             raise ConfigError("grid count must be >= 2")
         if not hi > lo:
             raise ConfigError("grid max must exceed grid min")
-        grid = np.linspace(lo, hi, count)
+        grid = np.linspace(float(lo), float(hi), count)
 
     thetas = ()
     if job == "scan":
@@ -319,34 +301,51 @@ def _regime_ratios(cfg) -> dict:
     return out
 
 
-def run_spectrum_job(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
-    """Atom-at-rest exact spectrum: CSV scan plus JSON line summary."""
-    s, s_mu = cfg.kind.signs
-    signed_drive = DriveField(G=cfg.drive.G, Omega=s * cfg.drive.Omega, k=cfg.drive.k)
-    pair = dressed_exponents(cfg.scheme, signed_drive)
+def _write_line(cfg, out_dir, base, fmt, density, components, **summary):
+    """Write density on the grid as CSV and its measured summary as JSON.
 
-    def density(x):
-        return w_mu_exact(cfg.scheme, signed_drive, cfg.probe,
-                          s_mu * np.asarray(x, dtype=float))
-
+    components lists (label, center) pairs.  If every center lies strictly
+    inside the grid and no two coincide, the grid is split at the midpoints
+    and each piece measured under its label; otherwise the whole grid is
+    measured as "total".  summary holds the regime_ratios,
+    doublet_resolved and notes fields of the JSON summary.
+    """
     w = np.atleast_1d(density(cfg.grid))
     if fmt in ("csv", "both"):
         _write_csv(out_dir / f"{base}.csv", ("omega_mu_detuning", "w"),
                    zip(cfg.grid.tolist(), w.tolist()))
 
     lo, hi = float(cfg.grid[0]), float(cfg.grid[-1])
+    centers = [c for _, c in components]
+    if centers and all(lo < c < hi for c in centers) and len(set(centers)) == len(centers):
+        windows = _component_windows(centers, lo, hi)
+        measured = [_measure_component(density, windows[i], label)
+                    for i, (label, _) in enumerate(components)]
+    else:
+        measured = [_measure_component(density, (lo, hi), "total")]
+
+    if fmt in ("json", "both"):
+        measured.sort(key=lambda c: (c.center, c.label))
+        _write_json(out_dir / f"{base}_summary.json",
+                    {"job": cfg.job, "schema_version": SCHEMA_VERSION, "label": cfg.label,
+                     "components": [vars(c) for c in measured], **summary})
+    return 0
+
+
+def run_spectrum_job(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
+    """Atom-at-rest exact spectrum: CSV scan plus JSON line summary."""
+    signed_drive, s_mu, _ = apply_process_signs(cfg.kind, cfg.drive, cfg.probe.theta)
+    pair = dressed_exponents(cfg.scheme, signed_drive)
+
+    def density(x):
+        return w_mu_exact(cfg.scheme, signed_drive, cfg.probe,
+                          s_mu * np.asarray(x, dtype=float))
+
     resolved = doublet_resolved(pair, cfg.scheme.gamma_l)
     centers = sorted([s_mu * pair.alpha1.imag, s_mu * pair.alpha2.imag])
-    comps = []
-    if resolved and lo < centers[0] and centers[1] < hi:
-        windows = _component_windows(centers, lo, hi)
-        for i in range(len(centers)):
-            comps.append(_measure_component(density, windows[i], f"dressed{i + 1}"))
-    else:
-        comps.append(_measure_component(density, (lo, hi), "total"))
-
-    summary = LineSummary(
-        components=comps,
+    return _write_line(
+        cfg, out_dir, base, fmt, density,
+        [(f"dressed{i + 1}", c) for i, c in enumerate(centers)] if resolved else [],
         regime_ratios={"G_over_weak_scale": weak_field_ratio(cfg.scheme, signed_drive)},
         doublet_resolved=bool(resolved),
         notes={"unit_convention": UNIT_NOTE,
@@ -354,44 +353,28 @@ def run_spectrum_job(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
                                 "no rescaling",
                "kind": cfg.kind.name.lower()},
     )
-    if fmt in ("json", "both"):
-        _write_json(out_dir / f"{base}_summary.json",
-                    {"job": cfg.job, "schema_version": SCHEMA_VERSION,
-                     "label": cfg.label, **summary.to_dict()})
-    return 0
 
 
-def _averaged_components(cfg):
-    if cfg.job == "doppler":
-        return dop.weak_doublet_components(cfg.scheme, cfg.drive, cfg.probe,
-                                           cfg.ensemble, cfg.kind)
-    if cfg.job == "doublet":
-        return dop.strong_doublet_components(cfg.scheme, cfg.drive, cfg.probe,
-                                             cfg.ensemble, cfg.kind)
-    return dop.triplet_components(cfg.scheme, cfg.drive, cfg.probe, cfg.ensemble)
+# The doublet builders, looked up on doppler by name at call time so that a
+# rebound builder (a profiler's wrapper, say) is the one called.  The doppler
+# and doublet jobs, and a scan's scan_family, are the weak and strong families.
+_DOUBLET_BUILDERS = {"weak": "weak_doublet_components", "strong": "strong_doublet_components"}
+_JOB_FAMILY = {"doppler": "weak", "doublet": "strong", "triplet": "triplet"}
+
+
+def _averaged_components(cfg, family, probe):
+    args = (cfg.scheme, cfg.drive, probe, cfg.ensemble)
+    if family == "triplet":
+        return dop.triplet_components(*args)
+    return getattr(dop, _DOUBLET_BUILDERS[family])(*args, cfg.kind)
 
 
 def run_averaged_job(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
     """Any velocity-averaged family: CSV scan plus JSON component summary."""
-    comps = _averaged_components(cfg)
+    comps = _averaged_components(cfg, _JOB_FAMILY[cfg.job], cfg.probe)
 
     def density(x):
         return dop.density_sum(comps, x)
-
-    w = np.atleast_1d(density(cfg.grid))
-    if fmt in ("csv", "both"):
-        _write_csv(out_dir / f"{base}.csv", ("omega_mu_detuning", "w"),
-                   zip(cfg.grid.tolist(), w.tolist()))
-
-    lo, hi = float(cfg.grid[0]), float(cfg.grid[-1])
-    centers = [c.center for c in comps]
-    measured = []
-    if all(lo < c < hi for c in centers) and len(set(centers)) == len(centers):
-        windows = _component_windows(centers, lo, hi)
-        for i, c in enumerate(comps):
-            measured.append(_measure_component(density, windows[i], c.label))
-    else:
-        measured.append(_measure_component(density, (lo, hi), "total"))
 
     resolved = None
     if cfg.job == "doublet":
@@ -411,42 +394,23 @@ def run_averaged_job(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
     if cfg.job == "triplet":
         notes["regime"] = dop.triplet_regime_ratios(cfg.scheme, cfg.drive, cfg.ensemble)
 
-    summary = LineSummary(components=measured, regime_ratios=_regime_ratios(cfg),
-                          doublet_resolved=resolved, notes=notes)
-    if fmt in ("json", "both"):
-        _write_json(out_dir / f"{base}_summary.json",
-                    {"job": cfg.job, "schema_version": SCHEMA_VERSION,
-                     "label": cfg.label, **summary.to_dict()})
-    return 0
+    return _write_line(cfg, out_dir, base, fmt, density,
+                       [(c.label, c.center) for c in comps],
+                       regime_ratios=_regime_ratios(cfg), doublet_resolved=resolved,
+                       notes=notes)
 
 
-def run_theta_scan(cfg: JobConfig, out_dir: Path, base: str, fmt: str,
-                   threads: int = 1) -> int:
+def run_theta_scan(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
     """Sweep theta: per-component center, FWHM and area at each angle."""
-
-    def one_theta(theta):
-        probe = ProbeField(G_mu=cfg.probe.G_mu, k_mu=cfg.probe.k_mu, theta=theta)
-        if cfg.scan_family == "weak":
-            comps = dop.weak_doublet_components(cfg.scheme, cfg.drive, probe,
-                                                cfg.ensemble, cfg.kind)
-        else:
-            comps = dop.strong_doublet_components(cfg.scheme, cfg.drive, probe,
-                                                  cfg.ensemble, cfg.kind)
-        rows = []
+    rows = []
+    for theta in cfg.thetas:
+        comps = _averaged_components(cfg, cfg.scan_family, replace(cfg.probe, theta=theta))
         for c in sorted(comps, key=lambda c: (c.center, c.label)):
             half_span = 60.0 * (c.natural_halfwidth + c.doppler_scale)
             window = (c.center - half_span, c.center + half_span)
             m = _measure_component(c.density, window, c.label)
             rows.append((theta, c.label, m.center, m.fwhm, m.peak_height, m.area))
-        return rows
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_theta = list(pool.map(one_theta, cfg.thetas))
-    else:
-        per_theta = [one_theta(t) for t in cfg.thetas]
-
-    rows = [row for chunk in per_theta for row in chunk]
     if fmt in ("csv", "both"):
         _write_csv(out_dir / f"{base}_scan.csv",
                    ("theta", "component", "center", "fwhm", "peak_height", "area"),
@@ -508,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON job config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-        p.add_argument("--threads", type=int, default=1)
+        # accepted and ignored: the scan ran on threads once, and scripts still pass it
+        p.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     return ap
 
 
@@ -528,7 +493,7 @@ def main(argv=None) -> int:
         if cfg.job in ("doppler", "doublet", "triplet"):
             return run_averaged_job(cfg, out_dir, base, args.format)
         if cfg.job == "scan":
-            return run_theta_scan(cfg, out_dir, base, args.format, args.threads)
+            return run_theta_scan(cfg, out_dir, base, args.format)
         return run_certify(cfg, out_dir, base, args.format)
     except (RegimeError, oracle.ConvergenceError) as e:
         print(f"physics-regime failure: {e}", file=sys.stderr)

@@ -32,6 +32,7 @@ from .model import (
     ProcessKind,
     RegimeError,
     ThermalEnsemble,
+    apply_process_signs,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -124,13 +125,6 @@ def density_sum(components, Omega_mu):
     return out
 
 
-def _signed_geometry(kind, drive, probe):
-    s, s_mu = kind.signs
-    Om_s = s * drive.Omega
-    theta_eff = probe.theta if s * s_mu == 1 else math.pi - probe.theta
-    return s, s_mu, Om_s, theta_eff
-
-
 def weak_doublet_components(
     scheme: LevelScheme,
     drive: DriveField,
@@ -139,7 +133,8 @@ def weak_doublet_components(
     kind: ProcessKind = ProcessKind.RAMAN_UPPER_INTERMEDIATE,
 ):
     """The stepwise and Raman components of the weak-drive averaged doublet."""
-    s, s_mu, Om_s, theta_eff = _signed_geometry(kind, drive, probe)
+    signed_drive, s_mu, theta_eff = apply_process_signs(kind, drive, probe.theta)
+    Om_s = signed_drive.Omega
     if Om_s == 0.0:
         raise RegimeError("weak-drive doublet undefined at Omega = 0")
     gm, gn, gl = scheme.gamma_m, scheme.gamma_n, scheme.gamma_l
@@ -224,8 +219,7 @@ def strong_doublet_components(
     common prefactor 2|G*G_mu|^2/|alpha_1-alpha_2|^2 is folded in.  In the
     weak-drive limit this reduces exactly to the stepwise/Raman pair.
     """
-    s, s_mu, Om_s, theta_eff = _signed_geometry(kind, drive, probe)
-    signed_drive = DriveField(G=drive.G, Omega=Om_s, k=drive.k)
+    signed_drive, s_mu, theta_eff = apply_process_signs(kind, drive, probe.theta)
     pair = dressed_exponents(scheme, signed_drive)
     if pair.is_degenerate:
         raise RegimeError(

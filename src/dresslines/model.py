@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 # CODATA 2018 exact SI values
 HBAR = 1.054571817e-34       # J s
@@ -37,25 +37,23 @@ class RegimeError(ValueError):
 
 
 def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    # a bool is an int to Python, but True is no rate or angle
+    if isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
 class LevelScheme:
-    """Decay rates of the three levels, plus optional absolute frequencies.
+    """Decay rates of the three levels.
 
     gamma_m, gamma_n, gamma_l are amplitude damping rates (half-widths),
-    all strictly positive.  omega_mn and omega_ml, when given, are the
-    absolute transition frequencies; they only serve as labels since the
-    dynamics depends on detunings alone.
+    all strictly positive.  No absolute transition frequency is carried:
+    the dynamics depends on detunings alone.
     """
 
     gamma_m: float
     gamma_n: float
     gamma_l: float
-    omega_mn: float | None = None
-    omega_ml: float | None = None
 
     def __post_init__(self):
         for name in ("gamma_m", "gamma_n", "gamma_l"):
@@ -63,12 +61,6 @@ class LevelScheme:
             _require_finite(name, value)
             if value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value!r}")
-        for name in ("omega_mn", "omega_ml"):
-            value = getattr(self, name)
-            if value is not None:
-                _require_finite(name, value)
-                if value <= 0:
-                    raise ValueError(f"{name} must be > 0 when given, got {value!r}")
 
     @property
     def gamma_sum(self) -> float:
@@ -79,13 +71,6 @@ class LevelScheme:
     def gamma_diff(self) -> float:
         """Damping asymmetry gamma_n - gamma_m."""
         return self.gamma_n - self.gamma_m
-
-    @property
-    def omega_ln(self) -> float:
-        """Frequency of the n-l interval, omega_ml - omega_mn."""
-        if self.omega_mn is None or self.omega_ml is None:
-            raise ValueError("omega_ln requires both omega_mn and omega_ml")
-        return self.omega_ml - self.omega_mn
 
 
 @dataclass(frozen=True)
@@ -114,17 +99,16 @@ class ProbeField:
     """Weak probe on the m-l transition; never back-acts (first order only).
 
     theta is the observation angle between the drive and probe wave vectors.
-    Omega_mu is a nominal detuning used when no explicit scan value is given;
-    spectrum operations take the scan detuning as an argument.
+    The probe detuning Omega_mu is not a field: every spectrum operation
+    takes it as an argument, scalar or array.
     """
 
     G_mu: float
     k_mu: float = 0.0
     theta: float = 0.0
-    Omega_mu: float = 0.0
 
     def __post_init__(self):
-        for name in ("G_mu", "k_mu", "theta", "Omega_mu"):
+        for name in ("G_mu", "k_mu", "theta"):
             _require_finite(name, getattr(self, name))
         if self.G_mu < 0:
             raise ValueError(f"G_mu must be >= 0, got {self.G_mu!r}")
@@ -153,7 +137,8 @@ class ThermalEnsemble:
 class ProcessKind(enum.Enum):
     """Which two-photon process the m-l spectrum describes.
 
-    Each kind carries sign flags (s, s_mu) applied to (Omega, Omega_mu).
+    Each kind carries sign flags (s, s_mu) applied to (Omega, Omega_mu);
+    apply_process_signs is the one place that reads them.
     The reference process (upper-intermediate Raman scattering: drive photon
     absorbed, probe photon emitted) keeps both signs.  Flipping the role of a
     photon from absorbed to emitted (or vice versa) reverses the sign of its
@@ -172,10 +157,18 @@ class ProcessKind(enum.Enum):
         return self.value
 
 
-def apply_process_signs(kind: ProcessKind, Omega: float, Omega_mu: float):
-    """Signed detuning pair (s*Omega, s_mu*Omega_mu) consumed by all line-shape formulas."""
+def apply_process_signs(kind: ProcessKind, drive: DriveField, theta: float):
+    """Map `kind` onto the reference process: (signed drive, s_mu, theta_eff).
+
+    The signed drive has detuning s*Omega.  The line of `kind` at probe
+    detuning Omega_mu is the reference line of the signed drive at
+    s_mu*Omega_mu, so reference centers map back by a factor s_mu.  Flipping
+    exactly one photon reverses one wave vector, which turns the observation
+    angle theta into theta_eff = pi - theta.
+    """
     s, s_mu = kind.signs
-    return s * Omega, s_mu * Omega_mu
+    theta_eff = theta if s * s_mu == 1 else math.pi - theta
+    return replace(drive, Omega=s * drive.Omega), s_mu, theta_eff
 
 
 def rabi_from_field(dipole: float, field_amplitude: float) -> float:

@@ -18,6 +18,7 @@ and reports deviations together with regime diagnostics.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -71,18 +72,6 @@ class OdeSettings:
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be > 0")
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Controls for the velocity route's trapezoidal rule.
-
-    The step follows from the pole distance alone; doubling_check repeats
-    the average at half the step and raises ConvergenceError when the two
-    differ by more than 1e-9 relative.
-    """
-
-    doubling_check: bool = False
 
 
 def _doppler_shifts(drive, probe, velocity):
@@ -184,27 +173,27 @@ def _average_2d(fn, kv, kmuv, theta, h):
     return total
 
 
-def velocity_average(pointwise_fn, ensemble, k, k_mu, theta,
-                     settings: QuadratureSettings | None = None,
-                     pole_distance: float | None = None) -> float:
+def velocity_average(pointwise_fn, ensemble, k, k_mu, theta, *,
+                     pole_distance: float | None = None,
+                     doubling_check: bool = False) -> float:
     """Maxwellian average of pointwise_fn(k.v, k_mu.v).
 
     pointwise_fn must be vectorized over numpy arrays of the two Doppler
     projections and, apart from its poles, bounded off the real axis, as
-    the Lorentzian line shapes here are.  The average runs over the plane spanned by the two wave
-    vectors (one axis when they are collinear or one vanishes); the
-    orthogonal velocity component integrates out exactly.  Each axis is
+    the Lorentzian line shapes here are.  The average runs over the plane
+    spanned by the two wave vectors, or along one axis when they are
+    collinear (theta = 0 or pi exactly) or one vanishes; the orthogonal
+    velocity component integrates out exactly.  Each axis is
     summed by the trapezoidal rule on |x| <= L = sqrt(ln(1/eps)), eps =
     1e-16, with weights h*exp(-x^2)/sqrt(pi) and step
     h = 2*pi*d/(ln(1/eps) + d^2) for d = min(pole_distance, L), where
     pole_distance is the smallest natural width over the largest Doppler
     scale (math.inf when every Doppler scale vanishes).  A pole distance
     that needs more than 8400 points per axis (d below about 0.0085) raises
-    ValueError.  With settings.doubling_check the average is repeated at
-    h/2 and a relative shift above 1e-9 raises ConvergenceError carrying
-    both estimates.
+    ValueError.  With doubling_check the average is repeated at h/2, a
+    relative shift above 1e-9 raises ConvergenceError carrying both
+    estimates, and the finer estimate is returned.
     """
-    settings = settings or QuadratureSettings()
     kv = k * ensemble.vbar
     kmuv = k_mu * ensemble.vbar
     if kv == 0.0 and kmuv == 0.0:
@@ -223,12 +212,12 @@ def velocity_average(pointwise_fn, ensemble, k, k_mu, theta,
         if kv == 0.0:
             # Only the probe direction carries Doppler structure.
             return _average_1d(pointwise_fn, 0.0, kmuv, step)
-        if kmuv == 0.0 or math.sin(theta) == 0.0:
+        if kmuv == 0.0 or theta in (0.0, math.pi):
             return _average_1d(pointwise_fn, kv, kmuv * math.cos(theta), step)
         return _average_2d(pointwise_fn, kv, kmuv, theta, step)
 
     val = run(h)
-    if settings.doubling_check:
+    if doubling_check:
         val2 = run(0.5 * h)
         denom = max(abs(val), abs(val2), 1e-300)
         if abs(val - val2) / denom > 1e-9:
@@ -348,12 +337,17 @@ def _build(parameter_set):
     unknown = set(parameter_set) - set(p)
     if unknown:
         raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
+    for key, value in parameter_set.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"certify parameter {key} must be a number, got {value!r}")
     p.update(parameter_set)
     scheme = LevelScheme(gamma_m=p["gamma_m"], gamma_n=p["gamma_n"], gamma_l=p["gamma_l"])
     drive = DriveField(G=p["G"], Omega=p["Omega"], k=p["k"])
     probe = ProbeField(G_mu=p["G_mu"], k_mu=p["k_mu"], theta=p["theta"])
     ensemble = ThermalEnsemble(vbar=p["vbar"])
-    count = int(p["omega_mu_count"])
+    count = p["omega_mu_count"]
+    if not isinstance(count, numbers.Integral):
+        raise TypeError(f"omega_mu_count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("omega_mu_count must be >= 1")
     grid = np.linspace(p["omega_mu_min"], p["omega_mu_max"], count)

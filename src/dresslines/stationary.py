@@ -25,12 +25,13 @@ class WeakFieldBreakdown:
     """Term-by-term decomposition of the weak-drive spectrum.
 
     stepwise: complex contribution of the cascade line centered at
-        Omega_mu = 0 (half-width gamma_l + gamma_m), interference part
-        included when requested.
+        Omega_mu = 0 (half-width gamma_l + gamma_m), interference included.
     raman: complex contribution of the correlated two-photon line centered
-        at Omega_mu = Omega (half-width gamma_l + gamma_n).
-    stepwise_interference, raman_interference: the interference corrections
-        contained in (or dropped from) the two terms, retrievable either way.
+        at Omega_mu = Omega (half-width gamma_l + gamma_n), interference
+        included.
+    stepwise_interference, raman_interference: the interference parts
+        contained in the two terms; subtracting them leaves the
+        no-interference doublet.
     coupling_ratio: G / |Omega - i*(gamma_n - gamma_m)|, the small parameter
         of the expansion.  The density is Re(stepwise + raman).
     """
@@ -39,7 +40,6 @@ class WeakFieldBreakdown:
     raman: complex
     stepwise_interference: complex
     raman_interference: complex
-    include_interference: bool
     coupling_ratio: float
 
 
@@ -93,7 +93,7 @@ def w_mu_exact(scheme, drive, probe, Omega_mu):
     return w if isinstance(w, np.ndarray) else float(w)
 
 
-def w_mu_weak(scheme, drive, probe, Omega_mu, include_interference: bool = True):
+def w_mu_weak(scheme, drive, probe, Omega_mu):
     """Weak-drive spectrum, valid for G << |Omega - i*(gamma_n - gamma_m)|.
 
     Returns (density, WeakFieldBreakdown).  The formula is evaluated
@@ -118,17 +118,10 @@ def w_mu_weak(scheme, drive, probe, Omega_mu, include_interference: bool = True)
 
     d_step = gl + gm + 1j * Omu
     d_raman = gl + gn + 1j * (Omu - Om)
-    step_direct = pref / gm / d_step
     step_intf = pref * (-2.0 / (Gamma + 1j * Om)) / d_step
-    raman_direct = pref / gn / d_raman
     raman_intf = pref * (-2.0 / (Gamma - 1j * Om)) / d_raman
-
-    if include_interference:
-        stepwise = step_direct + step_intf
-        raman = raman_direct + raman_intf
-    else:
-        stepwise = step_direct
-        raman = raman_direct
+    stepwise = pref / gm / d_step + step_intf
+    raman = pref / gn / d_raman + raman_intf
 
     w = (stepwise + raman).real
     breakdown = WeakFieldBreakdown(
@@ -136,7 +129,6 @@ def w_mu_weak(scheme, drive, probe, Omega_mu, include_interference: bool = True)
         raman=raman if raman.shape else complex(raman),
         stepwise_interference=step_intf if step_intf.shape else complex(step_intf),
         raman_interference=raman_intf if raman_intf.shape else complex(raman_intf),
-        include_interference=include_interference,
         coupling_ratio=weak_field_ratio(scheme, drive),
     )
     return (w if w.shape else float(w)), breakdown

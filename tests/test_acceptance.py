@@ -18,7 +18,6 @@ from dresslines import (
     LevelScheme,
     ProbeField,
     ProcessKind,
-    QuadratureSettings,
     ThermalEnsemble,
     doppler_strong_doublet,
     doppler_weak_doublet,
@@ -152,8 +151,7 @@ def test_criterion_04_weak_doublet_vs_quadrature():
     probe = ProbeField(G_mu=0.1, k_mu=2.0, theta=0.9)
     velocity_average(weak_pointwise(scheme, drive, probe, Om), ens,
                      drive.k, probe.k_mu, probe.theta,
-                     settings=QuadratureSettings(doubling_check=True),
-                     pole_distance=0.6)
+                     pole_distance=0.6, doubling_check=True)
     ok = worst <= 1e-8 and n_sets == 30
     verdict(4, ok,
             f"averaged weak doublet vs 2-D trapezoidal quadrature on "

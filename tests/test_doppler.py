@@ -1,10 +1,13 @@
 """Averaged line shapes: special function, geometry, limits, process kinds."""
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dresslines import (
     DriveField,
@@ -272,6 +275,39 @@ def test_absorption_kind_mirrors_probe_axis():
         SCHEME, drive, probe, ENS, xs, kind=ProcessKind.TWO_QUANTUM_ABSORPTION))
     ref = np.asarray(doppler_weak_doublet(SCHEME, drive, probe_flip, ENS, -xs[::-1]))
     assert np.allclose(tqa, ref[::-1], rtol=1e-13)
+
+
+# (s, s_mu) of each kind, written out from the photon roles rather than
+# read from the package: absorbed drive and emitted probe keep both signs.
+KIND_SIGNS = {
+    ProcessKind.RAMAN_UPPER_INTERMEDIATE: (1, 1),
+    ProcessKind.TWO_QUANTUM_LUMINESCENCE: (-1, 1),
+    ProcessKind.TWO_QUANTUM_ABSORPTION: (1, -1),
+    ProcessKind.RAMAN_LOWER_INTERMEDIATE: (-1, -1),
+}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(G=st.floats(min_value=0.01, max_value=50.0),
+       Omega=st.floats(min_value=0.01, max_value=500.0),
+       Omega_sign=st.sampled_from((-1.0, 1.0)),
+       k=st.floats(min_value=0.0, max_value=50.0),
+       k_mu=st.floats(min_value=0.0, max_value=50.0),
+       theta=st.floats(min_value=0.0, max_value=math.pi))
+def test_process_kind_mirror_identities(G, Omega, Omega_sign, k, k_mu, theta):
+    # Each kind's doublet is the reference kind's doublet of the drive with
+    # detuning s*Omega, seen at pi - theta when exactly one photon flips,
+    # with every center multiplied by s_mu.
+    drive = DriveField(G=G, Omega=Omega_sign * Omega, k=k)
+    probe = ProbeField(G_mu=1e-3, k_mu=k_mu, theta=theta)
+    for kind, (s, s_mu) in KIND_SIGNS.items():
+        ref_drive = DriveField(G=G, Omega=s * drive.Omega, k=k)
+        ref_probe = ProbeField(G_mu=1e-3, k_mu=k_mu,
+                               theta=theta if s == s_mu else math.pi - theta)
+        for components in (weak_doublet_components, strong_doublet_components):
+            got = components(SCHEME, drive, probe, ENS, kind)
+            ref = components(SCHEME, ref_drive, ref_probe, ENS)
+            assert got == [dataclasses.replace(c, center=s_mu * c.center) for c in ref]
 
 
 def test_triplet_components_and_areas():

@@ -27,15 +27,6 @@ def test_scheme_validation():
         LevelScheme(gamma_m=math.nan, gamma_n=1.0, gamma_l=1.0)
 
 
-def test_scheme_interval_frequency():
-    s = LevelScheme(gamma_m=1.0, gamma_n=1.0, gamma_l=1.0,
-                    omega_mn=5.0e14, omega_ml=8.0e14)
-    assert s.omega_ln == pytest.approx(3.0e14)
-    bare = LevelScheme(gamma_m=1.0, gamma_n=1.0, gamma_l=1.0)
-    with pytest.raises(ValueError):
-        bare.omega_ln
-
-
 def test_field_validation():
     DriveField(G=0.0, Omega=-3.0, k=1.0)
     with pytest.raises(ValueError):
@@ -48,6 +39,11 @@ def test_field_validation():
         ProbeField(G_mu=1.0, theta=-0.1)
     with pytest.raises(ValueError):
         ThermalEnsemble(vbar=0.0)
+    # a bool is an int to Python, but no rate, coupling or angle
+    with pytest.raises(ValueError, match="finite number"):
+        DriveField(G=True, Omega=0.0)
+    with pytest.raises(ValueError, match="finite number"):
+        LevelScheme(gamma_m=1.0, gamma_n=True, gamma_l=1.0)
 
 
 def test_rabi_from_field():
@@ -80,14 +76,25 @@ def test_process_kind_signs():
 
 
 def test_apply_process_signs_involution():
-    # Applying a kind's signs twice restores the original detunings.
+    # Applying a kind's signs twice restores the drive and the angle, and
+    # the probe sign squares to one.
+    drive = DriveField(G=2.0, Omega=3.0, k=4.0)
     for kind in ProcessKind:
-        a, b = apply_process_signs(kind, 3.0, -7.0)
-        a2, b2 = apply_process_signs(kind, a, b)
-        assert (a2, b2) == (3.0, -7.0)
+        signed, s_mu, theta = apply_process_signs(kind, drive, 0.8)
+        back, s_mu2, theta2 = apply_process_signs(kind, signed, theta)
+        assert back == drive
+        assert s_mu * s_mu2 == 1
+        assert theta2 == pytest.approx(0.8, abs=1e-15)
 
 
 def test_apply_process_signs_values():
-    assert apply_process_signs(ProcessKind.TWO_QUANTUM_LUMINESCENCE, 5.0, 2.0) == (-5.0, 2.0)
-    assert apply_process_signs(ProcessKind.TWO_QUANTUM_ABSORPTION, 5.0, 2.0) == (5.0, -2.0)
-    assert apply_process_signs(ProcessKind.RAMAN_LOWER_INTERMEDIATE, 5.0, 2.0) == (-5.0, -2.0)
+    drive = DriveField(G=1.0, Omega=5.0, k=2.0)
+    flipped = DriveField(G=1.0, Omega=-5.0, k=2.0)
+    assert apply_process_signs(ProcessKind.RAMAN_UPPER_INTERMEDIATE, drive, 0.3) == (
+        drive, 1, 0.3)
+    assert apply_process_signs(ProcessKind.TWO_QUANTUM_LUMINESCENCE, drive, 0.3) == (
+        flipped, 1, math.pi - 0.3)
+    assert apply_process_signs(ProcessKind.TWO_QUANTUM_ABSORPTION, drive, 0.3) == (
+        drive, -1, math.pi - 0.3)
+    assert apply_process_signs(ProcessKind.RAMAN_LOWER_INTERMEDIATE, drive, 0.3) == (
+        flipped, -1, 0.3)

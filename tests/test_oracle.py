@@ -15,7 +15,6 @@ from dresslines import (
     LevelScheme,
     OdeSettings,
     ProbeField,
-    QuadratureSettings,
     ThermalEnsemble,
     certify,
     doppler_strong_doublet,
@@ -38,20 +37,21 @@ ENS = ThermalEnsemble(vbar=1.0)
 
 
 def test_no_drive_no_emission():
-    probe = ProbeField(G_mu=1e-3, Omega_mu=1.0)
-    w = w_mu_time_domain_grid(SCHEME, DriveField(G=0.0, Omega=4.0), probe, [probe.Omega_mu])[0]
+    probe = ProbeField(G_mu=1e-3)
+    w = w_mu_time_domain_grid(SCHEME, DriveField(G=0.0, Omega=4.0), probe, [1.0])[0]
     assert w == pytest.approx(0.0, abs=1e-25)
 
 
 def test_velocity_equals_shifted_detunings():
     # A moving emitter only shifts the two detunings; solving in its frame
     # must agree with shifting the fields for an emitter at rest.
-    probe = ProbeField(G_mu=1e-3, k_mu=1.5, theta=0.8, Omega_mu=2.0)
+    probe = ProbeField(G_mu=1e-3, k_mu=1.5, theta=0.8)
+    Omega_mu = 2.0
     vx, vy = 0.7, -1.2
-    w_moving = w_mu_time_domain_grid(SCHEME, DRIVE, probe, [probe.Omega_mu],
+    w_moving = w_mu_time_domain_grid(SCHEME, DRIVE, probe, [Omega_mu],
                                      velocity=(vx, vy, 3.0))[0]
     drive_shift = dataclasses.replace(DRIVE, Omega=DRIVE.Omega - DRIVE.k * vx)
-    mu_shift = probe.Omega_mu - probe.k_mu * (
+    mu_shift = Omega_mu - probe.k_mu * (
         vx * math.cos(probe.theta) + vy * math.sin(probe.theta))
     w_rest = w_mu_time_domain_grid(SCHEME, drive_shift, probe, [mu_shift])[0]
     assert w_moving == pytest.approx(w_rest, rel=1e-9)
@@ -125,20 +125,35 @@ def test_velocity_average_collinear_consistency():
     assert tilted == pytest.approx(flat, rel=1e-10)
 
 
+def test_backward_geometry_takes_the_collinear_path(monkeypatch):
+    # sin(pi) is 1.2e-16, not 0: theta = pi must still be summed along one
+    # axis.  The values are those the 2-D tensor sum gave at theta = pi.
+    def no_2d(*args):
+        raise AssertionError("2-D sum run for a collinear geometry")
+
+    monkeypatch.setattr(oracle, "_average_2d", no_2d)
+    drive = DriveField(G=1.0, Omega=30.0, k=20.0)
+    probe = ProbeField(G_mu=1e-3, k_mu=18.0, theta=math.pi)
+    comps = weak_doublet_components(SCHEME, drive, probe, ENS)
+    d = _pole_distance([c.natural_halfwidth for c in comps], [c.doppler_scale for c in comps])
+    for x, expect in ((0.0, 1.1340623172855093e-10), (30.0, 3.348724781629563e-11)):
+        got = velocity_average(weak_pointwise(SCHEME, drive, probe, x), ENS,
+                               drive.k, probe.k_mu, probe.theta, pole_distance=d)
+        assert got == pytest.approx(expect, rel=1e-12)
+
+
 def test_velocity_average_doubling_check():
     # the pole of `sharp` sits at distance 0.01; a step worked out for 100x
     # that distance is far too coarse, and halving it must show so
     sharp = lambda kv, kmuv: 0.01 / (1e-4 + kmuv**2)
     with pytest.raises(ConvergenceError):
-        velocity_average(sharp, ENS, 0.0, 1.0, 0.0,
-                         settings=QuadratureSettings(doubling_check=True),
-                         pole_distance=1.0)
+        velocity_average(sharp, ENS, 0.0, 1.0, 0.0, pole_distance=1.0,
+                         doubling_check=True)
     # a Gaussian has no pole, but off the real axis it grows as the weight
     # does, so it needs a finite pole distance; the same d = 1 resolves it
     smooth = lambda kv, kmuv: np.exp(-(kmuv**2))
-    val = velocity_average(smooth, ENS, 0.0, 1.0, 0.0,
-                           settings=QuadratureSettings(doubling_check=True),
-                           pole_distance=1.0)
+    val = velocity_average(smooth, ENS, 0.0, 1.0, 0.0, pole_distance=1.0,
+                           doubling_check=True)
     assert val == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
 
@@ -273,7 +288,8 @@ def test_certify_regime_violation_fails_with_explanation():
 
 
 def test_oracle_vs_exact_stationary_spot():
-    probe = ProbeField(G_mu=1e-3, Omega_mu=5.5)
-    ode = w_mu_time_domain_grid(SCHEME, DRIVE, probe, [probe.Omega_mu])[0]
-    closed = w_mu_exact(SCHEME, DRIVE, probe, 5.5)
+    probe = ProbeField(G_mu=1e-3)
+    Omega_mu = 5.5
+    ode = w_mu_time_domain_grid(SCHEME, DRIVE, probe, [Omega_mu])[0]
+    closed = w_mu_exact(SCHEME, DRIVE, probe, Omega_mu)
     assert closed == pytest.approx(ode, rel=1e-7)
