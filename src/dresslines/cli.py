@@ -78,15 +78,6 @@ class JobConfig:
     label: str
 
 
-@dataclass(frozen=True)
-class ComponentSummary:
-    label: str
-    center: float
-    fwhm: float | None
-    peak_height: float | None
-    area: float | None
-
-
 def _check_keys(name, mapping, allowed):
     if not isinstance(mapping, dict):
         raise ConfigError(f"config section {name!r} must be an object")
@@ -276,9 +267,8 @@ def _measure_component(density, window, label):
         area = dop.integrated_intensity(density, (lo, hi))
     except ValueError:
         area = None
-    return ComponentSummary(label=label, center=float(x0),
-                            fwhm=None if width is None else float(width),
-                            peak_height=float(h), area=area)
+    return {"label": label, "center": x0, "fwhm": width, "peak_height": h,
+            "area": area}
 
 
 def _component_windows(centers, lo, hi):
@@ -304,16 +294,18 @@ def _regime_ratios(cfg) -> dict:
 def _write_line(cfg, out_dir, base, fmt, density, components, **summary):
     """Write density on the grid as CSV and its measured summary as JSON.
 
-    components lists (label, center) pairs.  If every center lies strictly
+    Only the summary is measured, so --format csv measures nothing.
+    components lists (label, center) pairs; if every center lies strictly
     inside the grid and no two coincide, the grid is split at the midpoints
-    and each piece measured under its label; otherwise the whole grid is
-    measured as "total".  summary holds the regime_ratios,
-    doublet_resolved and notes fields of the JSON summary.
+    and each piece measured under its label, else the whole grid is measured
+    as "total".  summary holds the regime_ratios, doublet_resolved and notes.
     """
-    w = np.atleast_1d(density(cfg.grid))
     if fmt in ("csv", "both"):
+        w = np.atleast_1d(density(cfg.grid))
         _write_csv(out_dir / f"{base}.csv", ("omega_mu_detuning", "w"),
                    zip(cfg.grid.tolist(), w.tolist()))
+    if fmt == "csv":
+        return 0
 
     lo, hi = float(cfg.grid[0]), float(cfg.grid[-1])
     centers = [c for _, c in components]
@@ -323,12 +315,10 @@ def _write_line(cfg, out_dir, base, fmt, density, components, **summary):
                     for i, (label, _) in enumerate(components)]
     else:
         measured = [_measure_component(density, (lo, hi), "total")]
-
-    if fmt in ("json", "both"):
-        measured.sort(key=lambda c: (c.center, c.label))
-        _write_json(out_dir / f"{base}_summary.json",
-                    {"job": cfg.job, "schema_version": SCHEMA_VERSION, "label": cfg.label,
-                     "components": [vars(c) for c in measured], **summary})
+    measured.sort(key=lambda c: (c["center"], c["label"]))
+    _write_json(out_dir / f"{base}_summary.json",
+                {"job": cfg.job, "schema_version": SCHEMA_VERSION, "label": cfg.label,
+                 "components": measured, **summary})
     return 0
 
 
@@ -401,15 +391,23 @@ def run_averaged_job(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
 
 
 def run_theta_scan(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
-    """Sweep theta: per-component center, FWHM and area at each angle."""
+    """Sweep theta: each component's center, FWHM, peak height and area.
+
+    A row is its component: its center, its density there and pi*weight
+    (voigt_density has area pi), an area no direction changes.  Only the
+    FWHM is measured, within 2(a + s) of the center: a Voigt's half width
+    lies between max(a, s*sqrt(ln 2)) and a + s*sqrt(ln 2)."""
     rows = []
     for theta in cfg.thetas:
         comps = _averaged_components(cfg, cfg.scan_family, replace(cfg.probe, theta=theta))
         for c in sorted(comps, key=lambda c: (c.center, c.label)):
-            half_span = 60.0 * (c.natural_halfwidth + c.doppler_scale)
-            window = (c.center - half_span, c.center + half_span)
-            m = _measure_component(c.density, window, c.label)
-            rows.append((theta, c.label, m.center, m.fwhm, m.peak_height, m.area))
+            x0 = float(c.center)
+            r = 2.0 * (c.natural_halfwidth + c.doppler_scale)
+            try:
+                width = dop.fwhm(c.density, x0 - r, x0 + r)[0]
+            except ValueError:  # a zero weight has no half maximum
+                width = None
+            rows.append((theta, c.label, x0, width, c.density(x0), math.pi * c.weight))
 
     if fmt in ("csv", "both"):
         _write_csv(out_dir / f"{base}_scan.csv",

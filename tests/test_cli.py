@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from dresslines import DriveField, LevelScheme, ProbeField, oracle, w_mu_exact
+from dresslines import (
+    DriveField,
+    LevelScheme,
+    ProbeField,
+    ThermalEnsemble,
+    cli,
+    oracle,
+    w_mu_exact,
+    weak_doublet_components,
+)
 from dresslines.cli import main
 
 SCHEME = {"gamma_m": 1.0, "gamma_n": 2.0, "gamma_l": 0.5}
@@ -210,6 +219,59 @@ def test_scan_job(tmp_path):
     # backward: correlated Doppler scale doubles the probe's own
     back = rows[(math.pi, "raman")]
     assert back["fwhm"] > 10 * fwd["fwhm"]
+
+    # a row is its component: the center is the component's, the area
+    # pi*weight at every angle; only the FWHM is measured, against 40-digit
+    # values of the Voigt half-maximum crossings
+    exact_fwhm = {"stepwise": {t: 34.930316247890494 for t in cfg["thetas"]},
+                  "raman": {0.0: 5.0, math.pi / 2: 49.818980374320863,
+                            math.pi: 69.309481294740969}}
+    for theta in cfg["thetas"]:
+        probe = ProbeField(G_mu=1e-3, k_mu=20.0, theta=theta)
+        comps = weak_doublet_components(LevelScheme(**SCHEME),
+                                        DriveField(G=1.0, Omega=500.0, k=20.0),
+                                        probe, ThermalEnsemble(vbar=1.0))
+        for c in comps:
+            row = rows[(theta, c.label)]
+            assert row["center"] == c.center
+            assert row["area"] == pytest.approx(math.pi * c.weight, rel=1e-14)
+            assert row["area"] == rows[(0.0, c.label)]["area"]
+            assert row["fwhm"] == pytest.approx(exact_fwhm[c.label][theta], rel=1e-7)
+
+
+def test_scan_without_drive_has_zero_area_and_no_fwhm(tmp_path):
+    cfg = {"schema_version": 1, "job": "scan", "scheme": dict(SCHEME),
+           "drive": {"G": 0.0, "Omega": 500.0, "k": 20.0},
+           "probe": {"G_mu": 1e-3, "k_mu": 20.0}, "ensemble": {"vbar": 1.0},
+           "thetas": [0.0, math.pi]}
+    cfg_path = write_config(tmp_path, "dark.json", cfg)
+    assert main(["scan", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "dark_scan.json").read_text())["rows"]
+    assert [(r["component"], r["center"]) for r in rows] == [
+        ("stepwise", 0.0), ("raman", 500.0)] * 2
+    assert all(r["fwhm"] is None and r["peak_height"] == 0.0 and r["area"] == 0.0
+               for r in rows)
+
+
+@pytest.mark.parametrize("job,cfg", [("spectrum", spectrum_config()),
+                                     ("doppler", doppler_config()),
+                                     ("doublet", doppler_config(
+                                         job="doublet",
+                                         drive={"G": 30.0, "Omega": 5.0, "k": 4.0})),
+                                     ("triplet", triplet_config())])
+def test_csv_format_measures_nothing(tmp_path, monkeypatch, job, cfg):
+    cfg_path = write_config(tmp_path, "line.json", cfg)
+    both = tmp_path / "both"
+    assert main([job, "--config", str(cfg_path), "--out", str(both)]) == 0
+
+    def refuse(*args):
+        raise AssertionError("--format csv measured a component")
+
+    monkeypatch.setattr(cli, "_measure_component", refuse)
+    only = tmp_path / "csv"
+    assert main([job, "--config", str(cfg_path), "--out", str(only), "--format", "csv"]) == 0
+    assert sorted(p.name for p in only.iterdir()) == ["line.csv"]
+    assert (only / "line.csv").read_bytes() == (both / "line.csv").read_bytes()
 
 
 def test_certify_job_pass_and_fail(tmp_path):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from dresslines import (
     DriveField,
@@ -189,3 +192,35 @@ def test_nonnegative_on_random_sweep():
         if np.any(w < -1e-18):
             bad.append((gm, gn, gl, Om, G, w.min()))
     assert not bad, f"negative spectral density found: {bad}"
+
+
+log_rate = st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0 ** e)
+log_drive = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(gm=log_rate, gn=log_rate, gl=log_rate, G=st.one_of(st.just(0.0), log_drive),
+       Omega=log_drive, sign=st.sampled_from([-1.0, 1.0]))
+@example(gm=1.0, gn=3.0, gl=0.5, G=1.0, Omega=0.0, sign=1.0)  # confluent: |gn - gm| = 2G
+def test_sum_rule_and_nonnegativity(gm, gn, gl, G, Omega, sign):
+    # The area over Omega_mu is 2*pi*|G_mu|^2 times the time integral of
+    # |a_m|^2, P_mm = G^2*Gamma / (2(G^2*Gamma^2 + gm*gn*(Gamma^2 + Omega^2))).
+    scheme = LevelScheme(gamma_m=gm, gamma_n=gn, gamma_l=gl)
+    drive = DriveField(G=G, Omega=sign * Omega)
+    probe = ProbeField(G_mu=0.3)
+    Gamma = gm + gn
+    P_mm = G * G * Gamma / (2.0 * (G * G * Gamma**2 + gm * gn * (Gamma**2 + Omega**2)))
+    pair = dressed_exponents(scheme, drive)
+    c1, c2 = sorted([pair.alpha1.imag, pair.alpha2.imag])
+
+    def w(x):
+        return w_mu_exact(scheme, drive, probe, x)
+
+    area = sum(quad(w, lo, hi, epsrel=1e-11, epsabs=0.0, limit=200)[0]
+               for lo, hi in ((-np.inf, c1), (c1, c2), (c2, np.inf)))
+    assert area == pytest.approx(2.0 * math.pi * probe.G_mu**2 * P_mm, rel=1e-10, abs=0.0)
+
+    width = gl + Gamma + G
+    offsets = width * np.logspace(-3.0, 3.0, 25)
+    grid = np.concatenate([c + np.concatenate([-offsets, [0.0], offsets]) for c in (c1, c2)])
+    assert np.all(w_mu_exact(scheme, drive, probe, grid) >= 0.0)
