@@ -40,8 +40,6 @@ from .model import (
     RegimeError,
     ThermalEnsemble,
     apply_process_signs,
-    rabi_from_field,
-    temperature_from_vbar,
     vbar_from_temperature,
 )
 from .oracle import (
@@ -92,10 +90,8 @@ __all__ = [
     "fwhm",
     "integrated_intensity",
     "memory_factors",
-    "rabi_from_field",
     "strong_doublet_components",
     "strong_pointwise",
-    "temperature_from_vbar",
     "triplet_components",
     "triplet_pointwise",
     "triplet_regime_ratios",

@@ -1,15 +1,14 @@
 """Config-driven batch front end.
 
-Subcommands: spectrum (atom at rest, exact form), doppler (weak-drive
-averaged doublet), doublet (strong-drive averaged doublet), triplet
-(driven-transition fluorescence), scan (theta sweep of widths and areas),
-certify (closed forms vs brute-force oracles).
-
-Configs are JSON with a mandatory integer schema_version; unknown keys are
-errors, not warnings, so pinned experiment files stay reproducible.  CSV
-numbers use the shortest round-trip representation; JSON summaries carry
-the unit convention, and non-finite values serialize as null.  Exit codes:
-0 success, 1 physics-regime failure, 2 usage error.
+JOB_TABLE declares each job once: its runner, its help line and the
+top-level config keys it reads.  A config is a JSON object with an integer
+schema_version, an optional job and label, and exactly the keys its job
+reads, all required but kind and scan_family; any other key is an error,
+not a warning, so pinned experiment files stay reproducible.  CSV numbers
+use the shortest round-trip representation and leave a field that could
+not be measured empty; JSON summaries carry the unit convention, and
+non-finite or unmeasured values serialize as null.  Exit codes: 0 success,
+1 physics-regime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +18,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,19 +43,10 @@ SCHEMA_VERSION = 1
 UNIT_NOTE = ("all rates, detunings and Doppler scales share one angular "
              "frequency unit; decay rates are amplitude half-widths")
 
-# A physics section's keys are the fields of its model class.
-_MODEL_SECTIONS = {"scheme": LevelScheme, "drive": DriveField,
-                   "probe": ProbeField, "ensemble": ThermalEnsemble}
-_SECTION_KEYS = {
-    **{name: {f.name for f in fields(cls)} for name, cls in _MODEL_SECTIONS.items()},
-    "grid": {"min", "max", "count"},
-    "certify": {"ids", "tolerance", "tolerances", "parameters", "parameters_by_id"},
-}
-_TOP_KEYS = {"schema_version", "job", "kind", "label",
-             "scheme", "drive", "probe", "ensemble", "grid", "thetas",
-             "scan_family", "certify"}
-
-JOBS = ("spectrum", "doppler", "doublet", "triplet", "scan", "certify")
+# The doublet builders, looked up on doppler by name at call time so that a
+# rebound builder (a profiler's wrapper, say) is the one called.  The doppler
+# and doublet jobs, and a scan's scan_family, are the weak and strong families.
+_DOUBLET_BUILDERS = {"weak": "weak_doublet_components", "strong": "strong_doublet_components"}
 
 
 class ConfigError(ValueError):
@@ -63,19 +55,23 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class JobConfig:
-    """Validated run description, straight from one JSON file."""
+    """Validated run description, straight from one JSON file.
+
+    A field holds the config key of its name, or its default where the job
+    does not read that key; certify holds (id, parameters, tolerance) runs.
+    """
 
     job: str
-    kind: ProcessKind
-    scheme: LevelScheme | None
-    drive: DriveField | None
-    probe: ProbeField | None
-    ensemble: ThermalEnsemble | None
-    grid: np.ndarray | None
-    thetas: tuple
-    scan_family: str
-    certify: dict
-    label: str
+    label: str = ""
+    kind: ProcessKind = ProcessKind.RAMAN_UPPER_INTERMEDIATE
+    scheme: LevelScheme | None = None
+    drive: DriveField | None = None
+    probe: ProbeField | None = None
+    ensemble: ThermalEnsemble | None = None
+    grid: np.ndarray | None = None
+    thetas: tuple = ()
+    scan_family: str = "weak"
+    certify: tuple = ()
 
 
 def _check_keys(name, mapping, allowed):
@@ -90,10 +86,59 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _parse_model(name, cls, section):
+    """A physics section: its keys are the fields of its model class."""
+    _check_keys(name, section, {f.name for f in fields(cls)})
+    try:
+        return cls(**section)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid {name!r} section: {e}") from e
+
+
+def _parse_kind(name):
+    try:
+        return ProcessKind[str(name).upper()]
+    except KeyError:
+        raise ConfigError(f"unknown process kind {name!r}") from None
+
+
+def _parse_grid(g):
+    _check_keys("grid", g, {"min", "max", "count"})
+    lo, hi, count = g.get("min"), g.get("max"), g.get("count")
+    if not (_is_number(lo) and _is_number(hi)):
+        raise ConfigError(f"grid min and max must be numbers, got {lo!r} and {hi!r}")
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ConfigError(f"grid count must be an integer, got {count!r}")
+    if count < 2:
+        raise ConfigError("grid count must be >= 2")
+    if not hi > lo:
+        raise ConfigError("grid max must exceed grid min")
+    return np.linspace(float(lo), float(hi), count)
+
+
+def _parse_thetas(raw_thetas):
+    if not isinstance(raw_thetas, list) or not all(map(_is_number, raw_thetas)):
+        raise ConfigError("thetas must be a list of numbers")
+    thetas = tuple(float(t) for t in raw_thetas)
+    if len(thetas) < 2:
+        raise ConfigError("a theta scan needs at least 2 theta values")
+    if any(not 0.0 <= t <= math.pi for t in thetas):
+        raise ConfigError("theta values must lie in [0, pi]")
+    return thetas
+
+
+def _parse_scan_family(family):
+    if family not in _DOUBLET_BUILDERS:
+        raise ConfigError("scan_family must be 'weak' or 'strong'")
+    return family
+
+
 def _check_certify(c):
-    """Validate the certify section: ids, a numeric tolerance and oracle
-    parameters for every id, so that run_certify meets no config error."""
-    _check_keys("certify", c, _SECTION_KEYS["certify"])
+    """Validate the certify section into its (id, parameters, tolerance)
+    runs: known ids, a numeric tolerance and oracle parameters for each id,
+    so that run_certify meets no config error."""
+    _check_keys("certify", c, {"ids", "tolerance", "tolerances", "parameters",
+                               "parameters_by_id"})
     ids = c.get("ids")
     if not isinstance(ids, list) or not ids or not all(isinstance(i, str) for i in ids):
         raise ConfigError("certify.ids must be a non-empty list of closed form ids")
@@ -110,16 +155,37 @@ def _check_certify(c):
         if tol is not None and not _is_number(tol):
             raise ConfigError(f"certify tolerances must be numbers, got {tol!r}")
     shared = c.get("parameters", {})
+    runs = []
     for cid in ids:
-        if tolerances.get(cid, default_tol) is None:
+        tol = tolerances.get(cid, default_tol)
+        if tol is None:
             raise ConfigError(f"no tolerance given for {cid!r}")
         params = by_id.get(cid, {})
         if not isinstance(shared, dict) or not isinstance(params, dict):
             raise ConfigError(f"certify parameters for {cid!r} must be objects")
+        params = {**shared, **params}
         try:
-            oracle.check_parameters({**shared, **params})
+            oracle.check_parameters(params)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"invalid certify parameters for {cid!r}: {e}") from e
+        runs.append((cid, params, float(tol)))
+    return tuple(runs)
+
+
+# Every top-level key a job may read, and the function that validates it
+# into the JobConfig field of the same name.
+_PARSERS = {
+    "kind": _parse_kind,
+    "scheme": partial(_parse_model, "scheme", LevelScheme),
+    "drive": partial(_parse_model, "drive", DriveField),
+    "probe": partial(_parse_model, "probe", ProbeField),
+    "ensemble": partial(_parse_model, "ensemble", ThermalEnsemble),
+    "grid": _parse_grid,
+    "thetas": _parse_thetas,
+    "scan_family": _parse_scan_family,
+    "certify": _check_certify,
+}
+_OPTIONAL_KEYS = ("kind", "scan_family")
 
 
 def _finite_number(text):
@@ -132,7 +198,8 @@ def _finite_number(text):
 
 
 def load_config(path, job: str) -> JobConfig:
-    """Read and validate one JSON config against the declared subcommand."""
+    """Read and validate one JSON config against the declared subcommand
+    and the keys JOB_TABLE lists for it."""
     try:
         raw = json.loads(Path(path).read_text(), parse_float=_finite_number,
                          parse_int=_finite_number, parse_constant=_finite_number)
@@ -141,7 +208,8 @@ def load_config(path, job: str) -> JobConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
 
-    _check_keys("<top level>", raw, _TOP_KEYS)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"config schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
@@ -149,82 +217,21 @@ def load_config(path, job: str) -> JobConfig:
     cfg_job = raw.get("job", job)
     if cfg_job != job:
         raise ConfigError(f"config job {cfg_job!r} does not match subcommand {job!r}")
-    if job not in JOBS:
+    if job not in JOB_TABLE:
         raise ConfigError(f"unknown job {job!r}")
+    reads = JOB_TABLE[job].reads
 
-    kind_name = raw.get("kind", "raman_upper_intermediate")
-    try:
-        kind = ProcessKind[str(kind_name).upper()]
-    except KeyError:
-        raise ConfigError(f"unknown process kind {kind_name!r}") from None
-    if job == "triplet" and "kind" in raw:
-        raise ConfigError("the fluorescence triplet takes no process kind")
-
-    def section(name, required):
-        if name not in raw:
-            if required:
-                raise ConfigError(f"config section {name!r} is required for job {job!r}")
-            return None
-        _check_keys(name, raw[name], _SECTION_KEYS[name])
-        try:
-            return _MODEL_SECTIONS[name](**raw[name])
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"invalid {name!r} section: {e}") from e
-
-    needs_physics = job != "certify"
-    needs_ensemble = job in ("doppler", "doublet", "triplet", "scan")
-    scheme = section("scheme", needs_physics)
-    drive = section("drive", needs_physics)
-    probe = section("probe", needs_physics)
-    ensemble = section("ensemble", needs_ensemble)
-
-    grid = None
-    if job in ("spectrum", "doppler", "doublet", "triplet"):
-        if "grid" not in raw:
-            raise ConfigError(f"config section 'grid' is required for job {job!r}")
-        g = raw["grid"]
-        _check_keys("grid", g, _SECTION_KEYS["grid"])
-        lo, hi, count = g.get("min"), g.get("max"), g.get("count")
-        if not (_is_number(lo) and _is_number(hi)):
-            raise ConfigError(f"grid min and max must be numbers, got {lo!r} and {hi!r}")
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise ConfigError(f"grid count must be an integer, got {count!r}")
-        if count < 2:
-            raise ConfigError("grid count must be >= 2")
-        if not hi > lo:
-            raise ConfigError("grid max must exceed grid min")
-        grid = np.linspace(float(lo), float(hi), count)
-
-    thetas = ()
-    if job == "scan":
-        raw_thetas = raw.get("thetas", [])
-        if not isinstance(raw_thetas, list) or not all(map(_is_number, raw_thetas)):
-            raise ConfigError("thetas must be a list of numbers")
-        thetas = tuple(float(t) for t in raw_thetas)
-        if len(thetas) < 2:
-            raise ConfigError("a theta scan needs at least 2 theta values")
-        if any(not 0.0 <= t <= math.pi for t in thetas):
-            raise ConfigError("theta values must lie in [0, pi]")
-
-    scan_family = raw.get("scan_family", "weak")
-    if scan_family not in ("weak", "strong"):
-        raise ConfigError("scan_family must be 'weak' or 'strong'")
-
+    unread = sorted(set(raw) - {"schema_version", "job", "label", *reads})
+    if unread:
+        raise ConfigError(f"job {job!r} does not read {', '.join(map(repr, unread))}")
+    for key in reads:
+        if key not in raw and key not in _OPTIONAL_KEYS:
+            raise ConfigError(f"config section {key!r} is required for job {job!r}")
     label = raw.get("label", "")
     if not isinstance(label, str):
         raise ConfigError(f"label must be a string, got {label!r}")
-
-    certify_cfg = {}
-    if job == "certify":
-        if "certify" not in raw:
-            raise ConfigError("config section 'certify' is required for job 'certify'")
-        certify_cfg = raw["certify"]
-        _check_certify(certify_cfg)
-
-    return JobConfig(job=job, kind=kind, scheme=scheme, drive=drive, probe=probe,
-                     ensemble=ensemble, grid=grid, thetas=thetas,
-                     scan_family=scan_family, certify=certify_cfg,
-                     label=label)
+    return JobConfig(job=job, label=label,
+                     **{key: _PARSERS[key](raw[key]) for key in reads if key in raw})
 
 
 def _sanitize(obj):
@@ -248,15 +255,19 @@ def _write_json(path: Path, obj):
 
 
 def _write_csv(path: Path, header, rows):
+    """A None field, which could not be measured, is empty: JSON's null."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+        lines.append(",".join("" if v is None
+                              else repr(float(v)) if isinstance(v, (float, np.floating))
                               else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
 def _measure_component(density, window, label):
-    """Numeric peak/FWHM/area of one component of `density` inside `window`."""
+    """Numeric peak/FWHM/area of one component of `density` inside `window`.
+
+    A component of zero height has no center: its center is None."""
     lo, hi = window
     try:
         width, x0, h = dop.fwhm(density, lo, hi)
@@ -267,35 +278,24 @@ def _measure_component(density, window, label):
         area = dop.integrated_intensity(density, (lo, hi))
     except ValueError:
         area = None
-    return {"label": label, "center": x0, "fwhm": width, "peak_height": h,
-            "area": area}
-
-
-def _component_windows(centers, lo, hi):
-    """Split [lo, hi] at midpoints between sorted component centers."""
-    order = np.argsort(centers)
-    bounds = [lo]
-    cs = [centers[i] for i in order]
-    for a, b in zip(cs[:-1], cs[1:]):
-        bounds.append(0.5 * (a + b))
-    bounds.append(hi)
-    return {int(order[i]): (bounds[i], bounds[i + 1]) for i in range(len(cs))}
+    return {"label": label, "center": x0 if h > 0 else None, "fwhm": width,
+            "peak_height": h, "area": area}
 
 
 def _regime_ratios(cfg) -> dict:
-    drive, scheme, probe = cfg.drive, cfg.scheme, cfg.probe
-    out = {"G_over_weak_scale": weak_field_ratio(scheme, drive)}
-    kv = drive.k * cfg.ensemble.vbar if cfg.ensemble else 0.0
-    out["Omega_over_drive_doppler"] = dop.regime_ratio(abs(drive.Omega), kv)
-    out["G_over_drive_doppler"] = dop.regime_ratio(drive.G, kv)
-    return out
+    drive = cfg.drive
+    kv = drive.k * cfg.ensemble.vbar
+    return {"G_over_weak_scale": weak_field_ratio(cfg.scheme, drive),
+            "Omega_over_drive_doppler": dop.regime_ratio(abs(drive.Omega), kv),
+            "G_over_drive_doppler": dop.regime_ratio(drive.G, kv)}
 
 
 def _write_line(cfg, out_dir, base, fmt, density, components, **summary):
     """Write density on the grid as CSV and its measured summary as JSON.
 
     Only the summary is measured, so --format csv measures nothing.
-    components lists (label, center) pairs; if every center lies strictly
+    components lists (label, predicted center) pairs, and the summary lists
+    them in the order of those centers.  If every center lies strictly
     inside the grid and no two coincide, the grid is split at the midpoints
     and each piece measured under its label, else the whole grid is measured
     as "total".  summary holds the regime_ratios, doublet_resolved and notes.
@@ -308,14 +308,14 @@ def _write_line(cfg, out_dir, base, fmt, density, components, **summary):
         return 0
 
     lo, hi = float(cfg.grid[0]), float(cfg.grid[-1])
+    components = sorted(components, key=lambda c: c[1])
     centers = [c for _, c in components]
     if centers and all(lo < c < hi for c in centers) and len(set(centers)) == len(centers):
-        windows = _component_windows(centers, lo, hi)
-        measured = [_measure_component(density, windows[i], label)
+        bounds = [lo, *(0.5 * (a + b) for a, b in zip(centers, centers[1:])), hi]
+        measured = [_measure_component(density, (bounds[i], bounds[i + 1]), label)
                     for i, (label, _) in enumerate(components)]
     else:
         measured = [_measure_component(density, (lo, hi), "total")]
-    measured.sort(key=lambda c: (c["center"], c["label"]))
     _write_json(out_dir / f"{base}_summary.json",
                 {"job": cfg.job, "schema_version": SCHEMA_VERSION, "label": cfg.label,
                  "components": measured, **summary})
@@ -345,13 +345,6 @@ def run_spectrum_job(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
     )
 
 
-# The doublet builders, looked up on doppler by name at call time so that a
-# rebound builder (a profiler's wrapper, say) is the one called.  The doppler
-# and doublet jobs, and a scan's scan_family, are the weak and strong families.
-_DOUBLET_BUILDERS = {"weak": "weak_doublet_components", "strong": "strong_doublet_components"}
-_JOB_FAMILY = {"doppler": "weak", "doublet": "strong", "triplet": "triplet"}
-
-
 def _averaged_components(cfg, family, probe):
     args = (cfg.scheme, cfg.drive, probe, cfg.ensemble)
     if family == "triplet":
@@ -359,20 +352,22 @@ def _averaged_components(cfg, family, probe):
     return getattr(dop, _DOUBLET_BUILDERS[family])(*args, cfg.kind)
 
 
-def run_averaged_job(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
-    """Any velocity-averaged family: CSV scan plus JSON component summary."""
-    comps = _averaged_components(cfg, _JOB_FAMILY[cfg.job], cfg.probe)
+def run_averaged_job(family: str, cfg: JobConfig, out_dir: Path, base: str,
+                     fmt: str) -> int:
+    """A velocity-averaged family (weak, strong or triplet): CSV scan plus
+    JSON component summary."""
+    comps = _averaged_components(cfg, family, cfg.probe)
 
     def density(x):
         return dop.density_sum(comps, x)
 
     resolved = None
-    if cfg.job == "doublet":
-        sep = abs(comps[0].center - comps[1].center)
-        resolved = bool(sep > comps[0].natural_halfwidth + comps[1].natural_halfwidth)
+    if family == "strong":
+        resolved = doublet_resolved(dressed_exponents(cfg.scheme, cfg.drive),
+                                    cfg.scheme.gamma_l)
 
     notes = {"unit_convention": UNIT_NOTE, "kind": cfg.kind.name.lower(),
-             "normalization": ("unit total area" if cfg.job == "triplet" else
+             "normalization": ("unit total area" if family == "triplet" else
                                "density as defined by the emission integral, "
                                "no rescaling"),
              "predicted": [
@@ -381,7 +376,7 @@ def run_averaged_job(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
                   "doppler_scale": c.doppler_scale, "memory": c.memory}
                  for c in comps
              ]}
-    if cfg.job == "triplet":
+    if family == "triplet":
         notes["regime"] = dop.triplet_regime_ratios(cfg.scheme, cfg.drive, cfg.ensemble)
 
     return _write_line(cfg, out_dir, base, fmt, density,
@@ -426,19 +421,8 @@ def run_theta_scan(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
 
 
 def run_certify(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
-    """Drive oracle.certify over the configured ids; exit 1 on any failure."""
-    c = cfg.certify
-    ids = c["ids"]
-    tolerances = c.get("tolerances", {})
-    default_tol = c.get("tolerance")
-    shared = c.get("parameters", {})
-    by_id = c.get("parameters_by_id", {})
-
-    reports = []
-    for cid in ids:
-        params = {**shared, **by_id.get(cid, {})}
-        reports.append(oracle.certify(cid, params, float(tolerances.get(cid, default_tol))))
-
+    """Drive oracle.certify over the configured runs; exit 1 on any failure."""
+    reports = [oracle.certify(cid, params, tol) for cid, params, tol in cfg.certify]
     for r in reports:
         verdict = "PASS" if r.passed else "FAIL"
         print(f"{verdict} {r.closed_form_id}: max_rel_dev={r.max_rel_dev:.3e} "
@@ -452,21 +436,37 @@ def run_certify(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
     return 0 if all_passed else 1
 
 
+class Job(NamedTuple):
+    run: Callable[[JobConfig, Path, str, str], int]
+    help: str
+    reads: tuple  # top-level keys besides schema_version, job and label
+
+
+_AVERAGED_KEYS = ("kind", "scheme", "drive", "probe", "ensemble", "grid")
+JOB_TABLE = {
+    "spectrum": Job(run_spectrum_job, "exact atom-at-rest probe spectrum",
+                    ("kind", "scheme", "drive", "probe", "grid")),
+    "doppler": Job(partial(run_averaged_job, "weak"),
+                   "velocity-averaged weak-drive doublet", _AVERAGED_KEYS),
+    "doublet": Job(partial(run_averaged_job, "strong"),
+                   "velocity-averaged strong-drive doublet", _AVERAGED_KEYS),
+    "triplet": Job(partial(run_averaged_job, "triplet"),
+                   "velocity-averaged fluorescence triplet",
+                   ("scheme", "drive", "probe", "ensemble", "grid")),
+    "scan": Job(run_theta_scan, "theta sweep of component widths and areas",
+                ("kind", "scheme", "drive", "probe", "ensemble", "thetas", "scan_family")),
+    "certify": Job(run_certify, "closed forms vs brute-force oracles", ("certify",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dresslines",
         description="Emission line shapes of a resonantly driven three-level gas",
     )
     sub = ap.add_subparsers(dest="job", required=True)
-    for job, help_text in (
-        ("spectrum", "exact atom-at-rest probe spectrum"),
-        ("doppler", "velocity-averaged weak-drive doublet"),
-        ("doublet", "velocity-averaged strong-drive doublet"),
-        ("triplet", "velocity-averaged fluorescence triplet"),
-        ("scan", "theta sweep of component widths and areas"),
-        ("certify", "closed forms vs brute-force oracles"),
-    ):
-        p = sub.add_parser(job, help=help_text)
+    for job, spec in JOB_TABLE.items():
+        p = sub.add_parser(job, help=spec.help)
         p.add_argument("--config", required=True, help="path to a JSON job config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both")
@@ -486,13 +486,7 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     base = Path(args.config).stem
     try:
-        if cfg.job == "spectrum":
-            return run_spectrum_job(cfg, out_dir, base, args.format)
-        if cfg.job in ("doppler", "doublet", "triplet"):
-            return run_averaged_job(cfg, out_dir, base, args.format)
-        if cfg.job == "scan":
-            return run_theta_scan(cfg, out_dir, base, args.format)
-        return run_certify(cfg, out_dir, base, args.format)
+        return JOB_TABLE[cfg.job].run(cfg, out_dir, base, args.format)
     except (RegimeError, oracle.ConvergenceError) as e:
         print(f"physics-regime failure: {e}", file=sys.stderr)
         return 1

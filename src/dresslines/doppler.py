@@ -76,22 +76,15 @@ def voigt_density(natural_halfwidth: float, detuning, doppler_scale: float):
     a = float(natural_halfwidth)
     if a <= 0:
         raise ValueError("natural_halfwidth must be > 0")
-    if isinstance(detuning, float):
-        # Scalar path in Python floats, rounded exactly as the array path
-        # below: numpy divides a complex by a real through the reciprocal.
-        x = float(detuning)
-        s = doppler_scale
-        if s == 0.0:
-            return a / (a * a + x * x)
-        inv = 1.0 / s
-        return float((_SQRT_PI / s) * wofz(complex(0.0 - x * inv, a * inv)).real)
-    x = np.asarray(detuning, dtype=float)
-    if doppler_scale == 0.0:
+    # one expression for a Python float and an array, so both round alike
+    x = float(detuning) if isinstance(detuning, float) else np.asarray(detuning, dtype=float)
+    s = doppler_scale
+    if s == 0.0:
         out = a / (a * a + x * x)
     else:
-        p = (a + 1j * x) / doppler_scale
-        out = (_SQRT_PI / doppler_scale) * np.real(wofz(1j * p))
-    return out if out.shape else float(out)
+        inv = 1.0 / s
+        out = (_SQRT_PI / s) * wofz(-x * inv + 1j * (a * inv)).real
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-# CODATA 2018 exact SI values
-HBAR = 1.054571817e-34       # J s
+# CODATA 2018 exact SI value
 K_BOLTZMANN = 1.380649e-23   # J / K
 
 
@@ -171,22 +170,8 @@ def apply_process_signs(kind: ProcessKind, drive: DriveField, theta: float):
     return replace(drive, Omega=s * drive.Omega), s_mu, theta_eff
 
 
-def rabi_from_field(dipole: float, field_amplitude: float) -> float:
-    """Rabi parameter d*E/(2*hbar) from a dipole matrix element [C m] and field [V/m]."""
-    if dipole < 0 or field_amplitude < 0:
-        raise ValueError("dipole and field_amplitude must be >= 0")
-    return dipole * field_amplitude / (2.0 * HBAR)
-
-
 def vbar_from_temperature(temperature: float, mass: float) -> float:
     """Most probable speed sqrt(2*k_B*T/m) of a Maxwellian gas."""
     if temperature <= 0 or mass <= 0:
         raise ValueError("temperature and mass must be > 0")
     return math.sqrt(2.0 * K_BOLTZMANN * temperature / mass)
-
-
-def temperature_from_vbar(vbar: float, mass: float) -> float:
-    """Inverse of vbar_from_temperature."""
-    if vbar <= 0 or mass <= 0:
-        raise ValueError("vbar and mass must be > 0")
-    return mass * vbar * vbar / (2.0 * K_BOLTZMANN)

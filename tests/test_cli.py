@@ -251,6 +251,21 @@ def test_scan_without_drive_has_zero_area_and_no_fwhm(tmp_path):
         ("stepwise", 0.0), ("raman", 500.0)] * 2
     assert all(r["fwhm"] is None and r["peak_height"] == 0.0 and r["area"] == 0.0
                for r in rows)
+    # the CSV writes the FWHM that could not be measured as an empty field
+    lines = (tmp_path / "dark_scan.csv").read_text().splitlines()
+    assert lines[1:3] == ["0.0,stepwise,0.0,,0.0,0.0", "0.0,raman,500.0,,0.0,0.0"]
+
+
+def test_zero_height_components_have_no_center(tmp_path):
+    # G = 0 leaves both lines at zero height, so no center can be measured;
+    # the summary lists them in the order of their predicted centers
+    cfg = doppler_config(drive={"G": 0.0, "Omega": -400.0, "k": 20.0},
+                         grid={"min": -480.0, "max": 80.0, "count": 113})
+    cfg_path = write_config(tmp_path, "dark.json", cfg)
+    assert main(["doppler", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "dark_summary.json").read_text())
+    assert [(c["label"], c["center"], c["peak_height"]) for c in summary["components"]] == [
+        ("raman", None, 0.0), ("stepwise", None, 0.0)]
 
 
 @pytest.mark.parametrize("job,cfg", [("spectrum", spectrum_config()),
@@ -424,18 +439,47 @@ def certify_config(**section):
      "unknown keys in 'probe': ['Omega_mu']"),
     ("spectrum", spectrum_config(scheme=dict(SCHEME, omega_mn=5.0e14)),
      "unknown keys in 'scheme': ['omega_mn']"),
+    ("scan", {k: v for k, v in scan_config([]).items() if k != "thetas"},
+     "config section 'thetas' is required for job 'scan'"),
 ], ids=["theta-not-a-number", "thetas-not-a-list", "tolerance-not-a-number",
         "unknown-parameter", "empty-grid", "ids-not-a-list", "label-object",
         "label-number", "grid-max-infinity", "parameter-minus-infinity",
         "tolerance-nan", "grid-count-float", "grid-count-string", "grid-count-bool",
         "grid-min-string", "drive-G-bool", "parameter-count-float",
-        "parameter-G-bool", "parameter-rtol-bool", "probe-Omega_mu", "scheme-omega_mn"])
+        "parameter-G-bool", "parameter-rtol-bool", "probe-Omega_mu", "scheme-omega_mn",
+        "scan-without-thetas"])
 def test_malformed_configs_exit_2_with_one_error_line(tmp_path, capsys, job, cfg, message):
     path = write_config(tmp_path, "malformed.json", cfg)
     assert main([job, "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+CERTIFY_SECTION = {"ids": ["eq2_6"], "tolerance": 1e-6, "parameters": {"omega_mu_count": 3}}
+
+
+@pytest.mark.parametrize("job, cfg, key", [
+    ("spectrum", spectrum_config(drive={"G": 8.0, "Omega": 3.0, "k": 20.0},
+                                 probe={"G_mu": 1e-3, "k_mu": 20.0},
+                                 ensemble={"vbar": 1.0}), "ensemble"),
+    ("spectrum", spectrum_config(thetas=[0.0, 1.0]), "thetas"),
+    ("spectrum", spectrum_config(certify=CERTIFY_SECTION), "certify"),
+    ("scan", dict(scan_config([0.0, math.pi]), grid={"min": -1.0, "max": 1.0, "count": 3}),
+     "grid"),
+    ("doppler", doppler_config(scan_family="weak"), "scan_family"),
+    ("certify", dict(certify_config(**CERTIFY_SECTION), kind="raman_upper_intermediate"),
+     "kind"),
+    ("certify", dict(certify_config(**CERTIFY_SECTION), scheme=dict(SCHEME)), "scheme"),
+], ids=["spectrum-ensemble", "spectrum-thetas", "spectrum-certify", "scan-grid",
+        "doppler-scan_family", "certify-kind", "certify-scheme"])
+def test_key_the_job_does_not_read_exits_2(tmp_path, capsys, job, cfg, key):
+    # each key is valid for some job; a job that would ignore it refuses it
+    path = write_config(tmp_path, "unread.json", cfg)
+    assert main([job, "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: job {job!r} does not read {key!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["unread.json"]
 
 
 def test_unreadable_and_invalid_configs(tmp_path):
