@@ -271,9 +271,8 @@ def _measure_component(density, window, label):
     lo, hi = window
     try:
         width, x0, h = dop.fwhm(density, lo, hi)
-    except ValueError:
-        x0, h = dop.find_peak(density, lo, hi)
-        width = None
+    except dop.NoHalfMaximum as e:
+        width, x0, h = None, e.x_peak, e.height
     try:
         area = dop.integrated_intensity(density, (lo, hi))
     except ValueError:
@@ -366,7 +365,7 @@ def run_averaged_job(family: str, cfg: JobConfig, out_dir: Path, base: str,
         resolved = doublet_resolved(dressed_exponents(cfg.scheme, cfg.drive),
                                     cfg.scheme.gamma_l)
 
-    notes = {"unit_convention": UNIT_NOTE, "kind": cfg.kind.name.lower(),
+    notes = {"unit_convention": UNIT_NOTE,
              "normalization": ("unit total area" if family == "triplet" else
                                "density as defined by the emission integral, "
                                "no rescaling"),
@@ -376,8 +375,10 @@ def run_averaged_job(family: str, cfg: JobConfig, out_dir: Path, base: str,
                   "doppler_scale": c.doppler_scale, "memory": c.memory}
                  for c in comps
              ]}
-    if family == "triplet":
+    if family == "triplet":  # the triplet reads no kind
         notes["regime"] = dop.triplet_regime_ratios(cfg.scheme, cfg.drive, cfg.ensemble)
+    else:
+        notes["kind"] = cfg.kind.name.lower()
 
     return _write_line(cfg, out_dir, base, fmt, density,
                        [(c.label, c.center) for c in comps],

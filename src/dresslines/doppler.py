@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import wofz
 
 from .dressed import dressed_exponents, memory_factors
@@ -317,32 +316,217 @@ def triplet_regime_ratios(scheme, drive, ensemble) -> dict:
     }
 
 
-def find_peak(f, lo: float, hi: float, n: int = 2001):
-    """Locate the maximum of f on [lo, hi]: coarse grid plus local refinement."""
-    from scipy.optimize import minimize_scalar
+# The constants of scipy's Brent routines, which the ports below follow.
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_RTOL = 4.0 * np.finfo(float).eps
 
+
+def _brent_minimize(f, a: float, b: float, xatol: float) -> float:
+    """Minimizer of f on [a, b] by Brent's golden-section and parabolic steps.
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 5,
+    step for step as scipy's bounded minimize_scalar: the same floating
+    point operations in the same order, so the same abscissae and result,
+    and like it at most 500 calls of f.
+    """
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = -tol1 if xm - xf < 0 else tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0 else xf + step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
+
+
+def _brent_root(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f bracketed by [xa, xb], by Brent's method.
+
+    Brent (1973), ch. 4, step for step as scipy's brentq (brentq.c) at its
+    default rtol of 4 eps and 100 steps: the same iterates and result.  A
+    nan value of f, a bracket without a sign change or 100 steps without
+    convergence raise ValueError.
+    """
+    def g(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function is nan at x={x}")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = g(xpre), g(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = g(xcur)
+    raise ValueError("root search did not converge in 100 steps")
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# quad's partition may hold at most _MAX_PANELS panels, as QUADPACK's limit
+# bounds its subintervals: an integrand that never converges (a nan) would
+# otherwise double its open panels, and the points of f's call, every level.
+_MAX_PANELS = 1000
+
+
+def _panel_sums(f, a, b):
+    """16-point Gauss-Legendre sums of f over the panels [a_i, b_i], from one
+    array call of f."""
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    return (y * _GL_WEIGHTS).sum(axis=1) * half
+
+
+def quad(f, lo: float, hi: float, points=(), epsrel: float = 1e-10) -> float:
+    """Integral of f over [lo, hi] on adaptive 16-point Gauss-Legendre panels.
+
+    The panels start split at the points inside (lo, hi).  Each level makes
+    one array call of f, on the nodes of both halves of every open panel.  A
+    panel is closed with its halves' sum once halving moves its sum by at
+    most its share of epsrel: epsrel times the integral's current estimate
+    times the panel's fraction of hi - lo.  Every other panel is halved.
+    Raises ValueError once the partition exceeds _MAX_PANELS panels.
+    """
+    edges = np.unique([lo, hi, *(p for p in points if lo < p < hi)])
+    a, b = edges[:-1], edges[1:]
+    m = 0.5 * (a + b)
+    whole, left, right = np.split(_panel_sums(f, np.r_[a, a, m], np.r_[b, m, b]), 3)
+    closed, n_closed = 0.0, 0
+    share = epsrel / (hi - lo)
+    while True:
+        halves = left + right
+        done = np.abs(halves - whole) <= share * abs(closed + halves.sum()) * (b - a)
+        closed += halves[done].sum()
+        n_closed += int(done.sum())
+        if done.all():
+            return float(closed)
+        op = ~done
+        a, b, whole = np.r_[a[op], m[op]], np.r_[m[op], b[op]], np.r_[left[op], right[op]]
+        if n_closed + a.size > _MAX_PANELS:
+            raise ValueError(f"quadrature did not converge within {_MAX_PANELS} panels")
+        m = 0.5 * (a + b)
+        left, right = np.split(_panel_sums(f, np.r_[a, m], np.r_[m, b]), 2)
+
+
+def find_peak(f, lo: float, hi: float, n: int = 2001):
+    """Locate the maximum of f on [lo, hi]: coarse grid plus local refinement.
+
+    Brent's bounded search refines the grid maximum between its neighbours,
+    on scalar calls of f.
+    """
     xs = np.linspace(lo, hi, n)
     ys = np.asarray(f(xs), dtype=float)
     i = int(np.argmax(ys))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, n - 1)]
+    a = float(xs[max(i - 1, 0)])
+    b = float(xs[min(i + 1, n - 1)])
     if a == b:
-        return float(xs[i]), float(ys[i])
-    res = minimize_scalar(lambda x: -float(f(x)), bounds=(a, b), method="bounded",
-                          options={"xatol": 1e-12 * max(abs(a), abs(b), 1.0)})
-    x0 = float(res.x)
+        return a, float(ys[i])
+    x0 = _brent_minimize(lambda x: -float(f(x)), a, b,
+                         xatol=1e-12 * max(abs(a), abs(b), 1.0))
     return x0, float(f(x0))
+
+
+class NoHalfMaximum(ValueError):
+    """fwhm found no half-maximum crossing; x_peak and height are the peak
+    it measured first, so that a caller need not search for it again."""
+
+    def __init__(self, message, x_peak, height):
+        super().__init__(message)
+        self.x_peak, self.height = x_peak, height
 
 
 def fwhm(f, lo: float, hi: float):
     """Full width at half maximum of a single-peaked f on [lo, hi].
 
     Returns (width, x_peak, peak_height).  Half-crossings are bracketed by
-    outward march from the peak and polished by bisection to relative 1e-6.
-    Raises if a crossing does not lie inside the window.
+    outward march from the peak and polished by Brent's root search to
+    1e-9 of the window.  Raises NoHalfMaximum, carrying the peak, if a
+    crossing is not found inside the window.
     """
-    from scipy.optimize import brentq
-
     x0, h = find_peak(f, lo, hi)
     half = 0.5 * h
     span = hi - lo
@@ -353,25 +537,28 @@ def fwhm(f, lo: float, hi: float):
         b = x0 + direction * step
         while lo <= b <= hi:
             if float(f(b)) < half:
-                return brentq(lambda x: float(f(x)) - half, min(a, b), max(a, b),
-                              xtol=1e-9 * span)
+                return _brent_root(lambda x: float(f(x)) - half, min(a, b), max(a, b),
+                                   xtol=1e-9 * span)
             a = b
             step *= 1.6
             b = x0 + direction * (abs(a - x0) + step)
         raise ValueError("half-maximum crossing not inside the window")
 
-    xr = crossing(+1.0)
-    xl = crossing(-1.0)
+    try:
+        xr = crossing(+1.0)
+        xl = crossing(-1.0)
+    except ValueError as e:
+        raise NoHalfMaximum(str(e), x0, h) from e
     return xr - xl, x0, h
 
 
 def integrated_intensity(spectrum, window):
     """Area of one resolved component under `spectrum` over window = (lo, hi).
 
-    Adaptive quadrature at relative 1e-8, split at the maximum of an
-    801-point grid.  The window must isolate the component: the grid's edge
-    values have to be below a quarter of that maximum, otherwise the caller
-    is directed to integrate the full spectrum.
+    quad at relative 1e-10, split at the maximum of an 801-point grid.  The
+    window must isolate the component: the grid's edge values have to be
+    below a quarter of that maximum, otherwise the caller is directed to
+    integrate the full spectrum.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
@@ -384,6 +571,4 @@ def integrated_intensity(spectrum, window):
             "window does not isolate a resolved component; "
             "integrate the full spectrum instead"
         )
-    val, _ = quad(lambda x: float(spectrum(x)), lo, hi,
-                  epsrel=1e-8, epsabs=0.0, limit=200, points=[xs[i]])
-    return val
+    return quad(spectrum, lo, hi, points=(float(xs[i]),))

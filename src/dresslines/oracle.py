@@ -22,7 +22,6 @@ import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import doppler as dop
 from .dressed import dressed_exponents, memory_factors
@@ -79,6 +78,12 @@ def _doppler_shifts(drive, probe, velocity):
     kdotv = drive.k * vx
     kmudotv = probe.k_mu * (vx * math.cos(probe.theta) + vy * math.sin(probe.theta))
     return kdotv, kmudotv
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's solve_ivp, imported on first use: only certify loads scipy.integrate."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 def _solve_emission(scheme, drive, probe, Omega_mu_grid, velocity, rtol, atol):

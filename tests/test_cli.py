@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +124,7 @@ def test_doppler_job(tmp_path):
     assert predicted["stepwise"]["center"] == 0.0
     assert predicted["raman"]["center"] == pytest.approx(400.0)
     assert summary["components"][1]["center"] == pytest.approx(400.0, abs=0.5)
+    assert summary["notes"]["kind"] == "raman_upper_intermediate"
 
 
 def test_doublet_job(tmp_path):
@@ -154,6 +159,7 @@ def test_triplet_job(tmp_path):
     labels = [c["label"] for c in summary["components"]]
     assert labels == ["side_low", "center", "side_high"]
     assert summary["notes"]["normalization"] == "unit total area"
+    assert "kind" not in summary["notes"]  # the triplet reads no kind
     regime = summary["notes"]["regime"]
     # Omega = 0: G/|Omega| is unbounded, which JSON writes as null
     assert regime.pop("G_over_Omega") is None
@@ -266,6 +272,44 @@ def test_zero_height_components_have_no_center(tmp_path):
     summary = json.loads((tmp_path / "dark_summary.json").read_text())
     assert [(c["label"], c["center"], c["peak_height"]) for c in summary["components"]] == [
         ("raman", None, 0.0), ("stepwise", None, 0.0)]
+
+
+def test_failed_fwhm_keeps_its_peak(tmp_path, monkeypatch):
+    # G = 0: neither line has a half maximum, and fwhm hands the peak it
+    # measured to the summary, so each component searches its peak once
+    cfg = doppler_config(drive={"G": 0.0, "Omega": 400.0, "k": 20.0})
+    cfg_path = write_config(tmp_path, "dark.json", cfg)
+    calls = []
+    find_peak = cli.dop.find_peak
+    monkeypatch.setattr(cli.dop, "find_peak", lambda *a: calls.append(a) or find_peak(*a))
+    assert main(["doppler", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
+    summary = json.loads((tmp_path / "dark_summary.json").read_text())
+    assert summary["components"] == [
+        {"label": label, "center": None, "fwhm": None, "peak_height": 0.0, "area": None}
+        for label in ("stepwise", "raman")]
+
+
+@pytest.mark.parametrize("job", [None, "spectrum", "doppler", "doublet", "triplet", "scan"])
+def test_only_certify_loads_scipy_integrate_and_optimize(tmp_path, job):
+    # one fresh interpreter per case, since this process has loaded both
+    configs = {"spectrum": spectrum_config(), "doppler": doppler_config(),
+               "doublet": doppler_config(job="doublet",
+                                         drive={"G": 30.0, "Omega": 5.0, "k": 4.0}),
+               "triplet": triplet_config(), "scan": scan_config([0.0, math.pi])}
+    run = ""
+    if job is not None:
+        cfg_path = write_config(tmp_path, "line.json", configs[job])
+        run = (f"assert cli.main([{job!r}, '--config', {str(cfg_path)!r}, "
+               f"'--out', {str(tmp_path)!r}, '--format', 'both']) == 0\n")
+    code = ("import sys\nfrom dresslines import cli\n" + run +
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'integrate'], ['scipy', 'optimize'])))")
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("job,cfg", [("spectrum", spectrum_config()),
