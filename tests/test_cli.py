@@ -290,26 +290,36 @@ def test_failed_fwhm_keeps_its_peak(tmp_path, monkeypatch):
         for label in ("stepwise", "raman")]
 
 
-@pytest.mark.parametrize("job", [None, "spectrum", "doppler", "doublet", "triplet", "scan"])
-def test_only_certify_loads_scipy_integrate_and_optimize(tmp_path, job):
-    # one fresh interpreter per case, since this process has loaded both
+def test_only_certify_loads_scipy_integrate_and_optimize(tmp_path):
+    # a fresh interpreter, since this process has loaded both; sys.modules
+    # only grows, so one that imports cli and then runs every other job in
+    # turn checks the import and each job
     configs = {"spectrum": spectrum_config(), "doppler": doppler_config(),
                "doublet": doppler_config(job="doublet",
                                          drive={"G": 30.0, "Omega": 5.0, "k": 4.0}),
                "triplet": triplet_config(), "scan": scan_config([0.0, math.pi])}
-    run = ""
-    if job is not None:
-        cfg_path = write_config(tmp_path, "line.json", configs[job])
-        run = (f"assert cli.main([{job!r}, '--config', {str(cfg_path)!r}, "
-               f"'--out', {str(tmp_path)!r}, '--format', 'both']) == 0\n")
-    code = ("import sys\nfrom dresslines import cli\n" + run +
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'integrate'], ['scipy', 'optimize'])))")
+    runs = {job: ["--config", str(write_config(tmp_path, f"{job}.json", cfg)),
+                  "--out", str(tmp_path), "--format", "both"]
+            for job, cfg in configs.items()}
+    code = f"""
+import json, sys
+from dresslines import cli
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize']))
+
+seen = {{"import": loaded()}}
+for job, args in {runs!r}.items():
+    assert cli.main([job, *args]) == 0, job
+    seen[job] = loaded()
+print(json.dumps(seen))
+"""
     src = str(Path(cli.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert json.loads(out.stdout) == {step: [] for step in ["import", *configs]}
 
 
 @pytest.mark.parametrize("job,cfg", [("spectrum", spectrum_config()),

@@ -1,7 +1,7 @@
 """Scalar detunings take a Python-float path that must match the array path.
 
-The measurement layer (find_peak, fwhm, integrated_intensity) calls the
-densities one detuning at a time, so voigt_density, DopplerComponent.density
+The measurement layer's searches (find_peak, fwhm) call the densities one
+detuning at a time, so voigt_density, DopplerComponent.density
 and w_mu_exact evaluate a float argument in Python floats (and one complex
 wofz argument).  These properties require the result to be a Python float equal,
 bit for bit, to the same detuning evaluated through a one-element array.
