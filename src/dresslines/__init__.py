@@ -40,13 +40,11 @@ from .model import (
     RegimeError,
     ThermalEnsemble,
     apply_process_signs,
-    vbar_from_temperature,
 )
 from .oracle import (
     CLOSED_FORM_IDS,
     CertifyReport,
     ConvergenceError,
-    OdeSettings,
     certify,
     strong_pointwise,
     triplet_pointwise,
@@ -71,7 +69,6 @@ __all__ = [
     "DressedPair",
     "DriveField",
     "LevelScheme",
-    "OdeSettings",
     "ProbeField",
     "ProcessKind",
     "RegimeError",
@@ -95,7 +92,6 @@ __all__ = [
     "triplet_components",
     "triplet_pointwise",
     "triplet_regime_ratios",
-    "vbar_from_temperature",
     "velocity_average",
     "voigt_density",
     "w_mu_exact",

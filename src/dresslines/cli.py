@@ -165,7 +165,7 @@ def _check_certify(c):
             raise ConfigError(f"certify parameters for {cid!r} must be objects")
         params = {**shared, **params}
         try:
-            oracle.check_parameters(params)
+            oracle._build(params)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"invalid certify parameters for {cid!r}: {e}") from e
         runs.append((cid, params, float(tol)))

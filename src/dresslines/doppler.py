@@ -455,6 +455,8 @@ _MAX_PANELS = 1000
 # closed before its rule converged, 5e-9 off a tight reference; at 1e-10
 # random Lorentzian and Voigt pairs stay within 1e-10 of it.
 _EPSREL = 1e-10
+# find_peak's coarse grid, one array call of f before Brent's refinement.
+_PEAK_GRID = 2001
 
 
 def _panel_sums(f, a, b):
@@ -497,17 +499,17 @@ def quad(f, lo: float, hi: float, points=()) -> float:
         left, right = np.split(_panel_sums(f, np.r_[a, m], np.r_[m, b]), 2)
 
 
-def find_peak(f, lo: float, hi: float, n: int = 2001):
+def find_peak(f, lo: float, hi: float):
     """Locate the maximum of f on [lo, hi]: coarse grid plus local refinement.
 
-    Brent's bounded search refines the grid maximum between its neighbours,
-    on scalar calls of f.
+    Brent's bounded search refines the maximum of a _PEAK_GRID-point grid
+    between its neighbours, on scalar calls of f.
     """
-    xs = np.linspace(lo, hi, n)
+    xs = np.linspace(lo, hi, _PEAK_GRID)
     ys = np.asarray(f(xs), dtype=float)
     i = int(np.argmax(ys))
     a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, n - 1)])
+    b = float(xs[min(i + 1, _PEAK_GRID - 1)])
     if a == b:
         return a, float(ys[i])
     x0 = _brent_minimize(lambda x: -float(f(x)), a, b,

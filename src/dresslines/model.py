@@ -130,7 +130,10 @@ class ThermalEnsemble:
 
     @classmethod
     def from_temperature(cls, temperature: float, mass: float) -> "ThermalEnsemble":
-        return cls(vbar_from_temperature(temperature, mass))
+        """Ensemble of most probable speed sqrt(2*k_B*T/m)."""
+        if temperature <= 0 or mass <= 0:
+            raise ValueError("temperature and mass must be > 0")
+        return cls(math.sqrt(2.0 * K_BOLTZMANN * temperature / mass))
 
 
 class ProcessKind(enum.Enum):
@@ -168,10 +171,3 @@ def apply_process_signs(kind: ProcessKind, drive: DriveField, theta: float):
     s, s_mu = kind.signs
     theta_eff = theta if s * s_mu == 1 else math.pi - theta
     return replace(drive, Omega=s * drive.Omega), s_mu, theta_eff
-
-
-def vbar_from_temperature(temperature: float, mass: float) -> float:
-    """Most probable speed sqrt(2*k_B*T/m) of a Maxwellian gas."""
-    if temperature <= 0 or mass <= 0:
-        raise ValueError("temperature and mass must be > 0")
-    return math.sqrt(2.0 * K_BOLTZMANN * temperature / mass)

@@ -11,8 +11,8 @@ Two independent routes:
   worked out from the distance of the nearest line-shape pole, against
   which the erfcx-based averaged forms are certified.
 
-The `certify` entry point packages both routes behind stable identifiers
-and reports deviations together with regime diagnostics.
+`certify` runs one row of a table of closed forms, keyed by identifier:
+the form, its reference route, a deviation measure and a regime check.
 """
 
 from __future__ import annotations
@@ -45,39 +45,16 @@ _HALF_SPAN = math.sqrt(_LOG_INV_EPS)
 _MAX_POINTS = 8400
 _BLOCK_ROWS = 64
 # The time-domain route stops at _HORIZON_FACTOR slowest decay times, where
-# the dropped tail exp(-2*_HORIZON_FACTOR) lies far below 1e-10.
+# the dropped tail exp(-2*_HORIZON_FACTOR) lies far below 1e-10, and steps
+# DOP853 at _RTOL and _ATOL.
 _HORIZON_FACTOR = 40.0
 _ODE_METHOD = "DOP853"
+_RTOL = 1e-11
+_ATOL = 1e-13
 
 
 class ConvergenceError(RuntimeError):
     """An oracle failed its self-consistency (tolerance or step halving) check."""
-
-
-@dataclass(frozen=True)
-class OdeSettings:
-    """Step tolerances of the time-domain route.
-
-    The DOP853 integration runs to the fixed horizon
-    T = 40 / min(Re alpha_1, Re alpha_2, gamma_l), where the tail bound
-    exp(-2*min_rate*T) = exp(-80) lies far below 1e-10.  With check the
-    run is repeated at halved tolerances (see w_mu_time_domain_grid).
-    """
-
-    rtol: float = 1e-11
-    atol: float = 1e-13
-    check: bool = False
-
-    def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be > 0")
-
-
-def _doppler_shifts(drive, probe, velocity):
-    vx, vy, _ = (float(v) for v in velocity)
-    kdotv = drive.k * vx
-    kmudotv = probe.k_mu * (vx * math.cos(probe.theta) + vy * math.sin(probe.theta))
-    return kdotv, kmudotv
 
 
 def solve_ivp(*args, **kwargs):
@@ -86,14 +63,13 @@ def solve_ivp(*args, **kwargs):
     return solve_ivp(*args, **kwargs)
 
 
-def _solve_emission(scheme, drive, probe, Omega_mu_grid, velocity, rtol, atol):
+def _solve_emission(scheme, drive, probe, Omega_mu_grid, rtol, atol):
     gm, gn, gl = scheme.gamma_m, scheme.gamma_n, scheme.gamma_l
-    kdotv, kmudotv = _doppler_shifts(drive, probe, velocity)
-    Om = drive.Omega - kdotv
-    Omu = np.asarray(Omega_mu_grid, dtype=float) - kmudotv
+    Om = drive.Omega
+    Omu = np.asarray(Omega_mu_grid, dtype=float)
     n = Omu.size
 
-    pair = dressed_exponents(scheme, DriveField(G=drive.G, Omega=Om))
+    pair = dressed_exponents(scheme, drive)
     min_rate = min(pair.alpha1.real, pair.alpha2.real, gl)
     T = _HORIZON_FACTOR / min_rate
 
@@ -120,23 +96,23 @@ def _solve_emission(scheme, drive, probe, Omega_mu_grid, velocity, rtol, atol):
     return sol.y[2 + n:, -1].real.copy()
 
 
-def w_mu_time_domain_grid(scheme, drive, probe, grid, velocity=(0.0, 0.0, 0.0),
-                          settings: OdeSettings | None = None):
-    """Emission density at each probe detuning in grid by direct integration.
+def w_mu_time_domain_grid(scheme, drive, probe, grid, *, halving_check: bool = False):
+    """Emission density of an atom at rest at each probe detuning in grid,
+    by direct integration.
 
     The drive pair (a_m, a_n) evolves exactly; each probed amplitude a_l is
     carried to first order in G_mu and 2*gamma_l*int|a_l|^2 dt accumulated
-    to the horizon, one drive solve shared by all grid points.  Velocity
-    enters only through the two Doppler shifts.  With settings.check the
-    run is repeated at halved tolerances, a disagreement beyond 100x rtol at
-    any point raises ConvergenceError, and the tighter run is returned.
+    to the horizon T = 40 / min(Re alpha_1, Re alpha_2, gamma_l), one DOP853
+    solve at rtol 1e-11, atol 1e-13 shared by all grid points.  For an atom
+    moving at v, pass drive.Omega - k.v and the grid less k_mu.v.  With
+    halving_check the run is repeated at halved tolerances, a disagreement
+    beyond 100x rtol at any point raises ConvergenceError, and the tighter
+    run is returned.
     """
-    settings = settings or OdeSettings()
-    w = _solve_emission(scheme, drive, probe, grid, velocity, settings.rtol, settings.atol)
-    if settings.check:
-        w2 = _solve_emission(scheme, drive, probe, grid, velocity,
-                             settings.rtol / 2.0, settings.atol / 2.0)
-        moved = np.abs(w - w2) > 100.0 * settings.rtol * np.maximum(np.abs(w), np.abs(w2))
+    w = _solve_emission(scheme, drive, probe, grid, _RTOL, _ATOL)
+    if halving_check:
+        w2 = _solve_emission(scheme, drive, probe, grid, _RTOL / 2.0, _ATOL / 2.0)
+        moved = np.abs(w - w2) > 100.0 * _RTOL * np.maximum(np.abs(w), np.abs(w2))
         if np.any(moved):
             i = int(np.argmax(moved))
             raise ConvergenceError(
@@ -299,9 +275,6 @@ def triplet_pointwise(scheme, drive, probe, Omega_mu):
     return fn
 
 
-CLOSED_FORM_IDS = ("eq2_6", "eq2_7", "eq3_2", "eq3_3", "eq4_2", "eq5_2")
-
-
 @dataclass(frozen=True)
 class CertifyReport:
     """Outcome of one closed-form certification run."""
@@ -324,20 +297,16 @@ _DEFAULTS = {
     "G": 3.0, "Omega": 4.0, "G_mu": 1e-3,
     "k": 0.0, "k_mu": 0.0, "theta": 0.0, "vbar": 1.0,
     "omega_mu_min": -20.0, "omega_mu_max": 20.0, "omega_mu_count": 33,
-    "rtol": 1e-11, "atol": 1e-13,
 }
 
 
-def check_parameters(parameter_set: dict) -> None:
-    """Raise ValueError or TypeError where certify would reject parameter_set.
-
-    Catches unknown keys, non-numeric values and values that the physics
-    objects or the oracle settings refuse, without running any oracle.
-    """
-    _ode_settings(_build(parameter_set)[0])
-
-
 def _build(parameter_set):
+    """(p, scheme, drive, probe, ensemble, grid) of a certify parameter set.
+
+    Raises ValueError or TypeError where certify would reject the set:
+    unknown keys, non-numeric values and values that the physics objects
+    refuse.  It runs no oracle, so the CLI validates a config with it.
+    """
     p = dict(_DEFAULTS)
     unknown = set(parameter_set) - set(p)
     if unknown:
@@ -357,10 +326,6 @@ def _build(parameter_set):
         raise ValueError("omega_mu_count must be >= 1")
     grid = np.linspace(p["omega_mu_min"], p["omega_mu_max"], count)
     return p, scheme, drive, probe, ensemble, grid
-
-
-def _ode_settings(p):
-    return OdeSettings(rtol=p["rtol"], atol=p["atol"])
 
 
 def _pole_distance(widths, scales):
@@ -397,92 +362,125 @@ def _auto_nodes(d: float) -> int:
     raise ValueError(f"pole distance {d:.3g} lies below the lowest tier (0.1)")
 
 
-def _quadrature_deviation(components, closed_form, pointwise,
-                          scheme, drive, probe, ensemble, grid):
-    """Worst pointwise relative deviation of an averaged closed form from
-    the velocity average of its pointwise spectrum at each grid detuning."""
-    comps = components(scheme, drive, probe, ensemble)
-    d = _pole_distance([c.natural_halfwidth for c in comps],
-                       [c.doppler_scale for c in comps])
-    closed = np.atleast_1d(closed_form(scheme, drive, probe, ensemble, grid))
-    ref = np.array([
-        velocity_average(pointwise(scheme, drive, probe, x), ensemble,
-                         drive.k, probe.k_mu, probe.theta, pole_distance=d)
-        for x in grid
-    ])
-    return float(np.max(np.abs(closed - ref) / np.abs(ref)))
+# Reference routes, (name, route): route(closed, scheme, drive, probe,
+# ensemble, grid) returns a row's closed form and its reference on grid.
+def _reference(name, reference):
+    """Route that evaluates a closed form and reference alike on the grid."""
+    def route(closed, *case):
+        return np.atleast_1d(closed(*case)), np.atleast_1d(reference(*case))
+
+    return name, route
+
+
+def _velocity_quadrature(pointwise):
+    """Route of an averaged form given as its components builder: their
+    density sum, and the velocity average of pointwise at each detuning
+    with the pole distance of the same components."""
+    def route(components, scheme, drive, probe, ensemble, grid):
+        comps = components(scheme, drive, probe, ensemble)
+        d = _pole_distance([c.natural_halfwidth for c in comps],
+                           [c.doppler_scale for c in comps])
+        ref = np.array([
+            velocity_average(pointwise(scheme, drive, probe, x), ensemble,
+                             drive.k, probe.k_mu, probe.theta, pole_distance=d)
+            for x in grid
+        ])
+        return np.atleast_1d(dop.density_sum(comps, grid)), ref
+
+    return "trapezoidal quadrature", route
+
+
+_TIME_DOMAIN = _reference("time-domain integration",
+                          lambda s, d, p, e, g: w_mu_time_domain_grid(s, d, p, g))
+_FULL_AVERAGE = _reference("full averaged doublet", lambda *c: dop.doppler_weak_doublet(*c))
+
+# Deviation measures, (name, measure): measure(closed, ref) returns an
+# error and the scale it is relative to; the deviation is their largest ratio.
+_POINTWISE = ("pointwise relative",
+              lambda closed, ref: (np.abs(closed - ref), np.abs(ref)))
+_PEAK = ("peak relative",
+         lambda closed, ref: (np.max(np.abs(closed - ref)), np.max(np.abs(ref))))
+
+
+# Regime checks: (scheme, drive, probe, ensemble) -> (ratios, verdict, what
+# the regime needs).  The ratios' key order is the report's.
+def _weak_drive_regime(scheme, drive, probe, ensemble):
+    ratio = weak_field_ratio(scheme, drive)
+    return ({"G_over_weak_scale": ratio}, ratio <= 0.01,
+            "weak-drive expansion needs G/|Omega - i(gamma_n-gamma_m)| <= 0.01")
+
+
+def _weak_doublet_regime(scheme, drive, probe, ensemble):
+    ratio = dop.regime_ratio(abs(drive.Omega), drive.k * ensemble.vbar)
+    return {"Omega_over_drive_doppler": ratio}, True, ""
+
+
+def _gaussian_regime(scheme, drive, probe, ensemble):
+    ratios, _, _ = _weak_doublet_regime(scheme, drive, probe, ensemble)
+    comps = dop.weak_doublet_components(scheme, drive, probe, ensemble)
+    ratios["doppler_over_width"] = min(
+        dop.regime_ratio(c.doppler_scale, c.natural_halfwidth) for c in comps)
+    return (ratios, ratios["doppler_over_width"] >= 100.0,
+            "Gaussian form needs every Doppler scale >= 100x its natural width")
+
+
+def _strong_doublet_regime(scheme, drive, probe, ensemble):
+    ratio = dop.regime_ratio(drive.G, drive.k * ensemble.vbar)
+    return {"G_over_drive_doppler": ratio}, True, ""
+
+
+def _triplet_regime(scheme, drive, probe, ensemble):
+    ratios = dop.triplet_regime_ratios(scheme, drive, ensemble)
+    return (ratios, all(v >= 10.0 for v in ratios.values()),
+            "strong-drive triplet limit needs G at least 10x each of |Omega|, Gamma, k*vbar")
+
+
+# The certified closed forms, id -> (name in the explanation, closed form,
+# reference route, deviation measure, regime check).  A closed form looks its
+# builder up by module-level name at each call, so that a wrapper bound to
+# that name sees certify's calls.
+_FORMS = {
+    "eq2_6": ("exact form", lambda s, d, p, e, g: w_mu_exact(s, d, p, g),
+              _TIME_DOMAIN, _POINTWISE, lambda *_: ({}, True, "")),
+    "eq2_7": ("weak-drive form", lambda s, d, p, e, g: w_mu_weak(s, d, p, g)[0],
+              _TIME_DOMAIN, _PEAK, _weak_drive_regime),
+    "eq3_2": ("averaged doublet", lambda *a: dop.weak_doublet_components(*a),
+              _velocity_quadrature(weak_pointwise), _POINTWISE, _weak_doublet_regime),
+    "eq3_3": ("Gaussian approximation", lambda *a: dop.weak_doublet_gaussian(*a),
+              _FULL_AVERAGE, _PEAK, _gaussian_regime),
+    "eq4_2": ("averaged dressed doublet", lambda *a: dop.strong_doublet_components(*a),
+              _velocity_quadrature(strong_pointwise), _POINTWISE, _strong_doublet_regime),
+    "eq5_2": ("averaged triplet", lambda *a: dop.triplet_components(*a),
+              _velocity_quadrature(triplet_pointwise), _POINTWISE, _triplet_regime),
+}
+
+CLOSED_FORM_IDS = tuple(_FORMS)
 
 
 def certify(closed_form_id: str, parameter_set: dict, tolerance: float) -> CertifyReport:
     """Check one closed form against its brute-force route on a grid.
 
     parameter_set uses flat keys (gamma_m, gamma_n, gamma_l, G, Omega, G_mu,
-    k, k_mu, theta, vbar, omega_mu_min/max/count, rtol, atol); absent
-    keys fall back to documented defaults.  The report records the maximum
-    relative deviation, regime diagnostics, and the pass verdict; a regime
-    violation fails the run with an explanation even when the numbers agree,
-    because agreement outside the regime does not certify the physics claim.
+    k, k_mu, theta, vbar, omega_mu_min/max/count); absent keys fall back to
+    documented defaults, other keys are refused.  The id's row in _FORMS
+    gives the form, reference route, deviation measure and regime check.
+    A regime violation fails the run with an explanation even when the
+    numbers agree, because agreement outside the regime does not certify
+    the physics claim; a reference that is zero where the measure divides
+    by it raises RegimeError.
     """
     if closed_form_id not in CLOSED_FORM_IDS:
         raise ValueError(f"unknown closed_form_id {closed_form_id!r}; "
                          f"expected one of {CLOSED_FORM_IDS}")
-    p, scheme, drive, probe, ensemble, grid = _build(parameter_set)
-    ode = _ode_settings(p)
-
-    ratios: dict = {}
-    regime_ok = True
-    regime_note = ""
-
-    if closed_form_id == "eq2_6":
-        closed = np.atleast_1d(w_mu_exact(scheme, drive, probe, grid))
-        ref = w_mu_time_domain_grid(scheme, drive, probe, grid, settings=ode)
-        dev = float(np.max(np.abs(closed - ref) / np.abs(ref)))
-        note = "exact form vs time-domain integration, pointwise relative"
-
-    elif closed_form_id == "eq2_7":
-        closed, _ = w_mu_weak(scheme, drive, probe, grid)
-        closed = np.atleast_1d(closed)
-        ref = w_mu_time_domain_grid(scheme, drive, probe, grid, settings=ode)
-        dev = float(np.max(np.abs(closed - ref)) / np.max(np.abs(ref)))
-        ratios["G_over_weak_scale"] = weak_field_ratio(scheme, drive)
-        regime_ok = ratios["G_over_weak_scale"] <= 0.01
-        regime_note = "weak-drive expansion needs G/|Omega - i(gamma_n-gamma_m)| <= 0.01"
-        note = "weak-drive form vs time-domain integration, peak relative"
-
-    elif closed_form_id in ("eq3_2", "eq3_3"):
-        ratios["Omega_over_drive_doppler"] = dop.regime_ratio(abs(drive.Omega),
-                                                              drive.k * ensemble.vbar)
-        if closed_form_id == "eq3_2":
-            dev = _quadrature_deviation(dop.weak_doublet_components, dop.doppler_weak_doublet,
-                                        weak_pointwise, scheme, drive, probe, ensemble, grid)
-            note = "averaged doublet vs trapezoidal quadrature, pointwise relative"
-        else:
-            comps = dop.weak_doublet_components(scheme, drive, probe, ensemble)
-            widths = [c.natural_halfwidth for c in comps]
-            scales = [c.doppler_scale for c in comps]
-            closed_full = np.atleast_1d(dop.doppler_weak_doublet(scheme, drive, probe, ensemble, grid))
-            approx = np.atleast_1d(dop.weak_doublet_gaussian(scheme, drive, probe, ensemble, grid))
-            dev = float(np.max(np.abs(approx - closed_full)) / np.max(np.abs(closed_full)))
-            ratios["doppler_over_width"] = min(
-                dop.regime_ratio(s, w) for s, w in zip(scales, widths))
-            regime_ok = ratios["doppler_over_width"] >= 100.0
-            regime_note = "Gaussian form needs every Doppler scale >= 100x its natural width"
-            note = "Gaussian approximation vs full averaged doublet, peak relative"
-
-    elif closed_form_id == "eq4_2":
-        ratios["G_over_drive_doppler"] = dop.regime_ratio(drive.G, drive.k * ensemble.vbar)
-        dev = _quadrature_deviation(dop.strong_doublet_components, dop.doppler_strong_doublet,
-                                    strong_pointwise, scheme, drive, probe, ensemble, grid)
-        note = "averaged dressed doublet vs trapezoidal quadrature, pointwise relative"
-
-    else:  # eq5_2
-        ratios.update(dop.triplet_regime_ratios(scheme, drive, ensemble))
-        regime_ok = all(v >= 10.0 for v in ratios.values())
-        regime_note = ("strong-drive triplet limit needs G at least 10x each of "
-                       "|Omega|, Gamma, k*vbar")
-        dev = _quadrature_deviation(dop.triplet_components, dop.fluorescence_triplet,
-                                    triplet_pointwise, scheme, drive, probe, ensemble, grid)
-        note = "averaged triplet vs trapezoidal quadrature, pointwise relative"
+    name, closed, (route_name, route), (measure_name, measure), regime = _FORMS[closed_form_id]
+    _, scheme, drive, probe, ensemble, grid = _build(parameter_set)
+    ratios, regime_ok, regime_note = regime(scheme, drive, probe, ensemble)
+    error, scale = measure(*route(closed, scheme, drive, probe, ensemble, grid))
+    if np.any(scale == 0.0):
+        raise RegimeError(f"{closed_form_id}: the reference ({route_name}) is zero, "
+                          f"so the {measure_name} deviation is undefined")
+    dev = float(np.max(error / scale))
+    note = f"{name} vs {route_name}, {measure_name}"
 
     passed = bool(dev <= tolerance) and regime_ok
     if not regime_ok:

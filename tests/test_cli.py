@@ -388,6 +388,17 @@ def test_regime_failure_exit_code(tmp_path):
     assert main(["doppler", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
 
 
+def test_certify_without_drive_is_a_regime_failure(tmp_path, capsys):
+    # G = 0 emits nothing, so no relative deviation from the reference exists
+    cfg = certify_config(ids=["eq2_6"], tolerance=1e-6,
+                         parameters={"G": 0.0, "omega_mu_count": 3})
+    cfg_path = write_config(tmp_path, "nodrive.json", cfg)
+    assert main(["certify", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("physics-regime failure: eq2_6: the reference")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("mutate", [
     lambda c: c.update(schema_version=2),
     lambda c: c.update(job="doppler"),
@@ -487,8 +498,11 @@ def certify_config(**section):
                                parameters={"omega_mu_count": 5, "G": True}),
      "certify parameter G must be a number, got True"),
     ("certify", certify_config(ids=["eq2_6"], tolerance=1e-6,
-                               parameters={"omega_mu_count": 5, "rtol": True}),
-     "certify parameter rtol must be a number, got True"),
+                               parameters={"omega_mu_count": 5, "vbar": True}),
+     "certify parameter vbar must be a number, got True"),
+    ("certify", certify_config(ids=["eq2_6"], tolerance=1e-6,
+                               parameters={"omega_mu_count": 5, "rtol": 1e-12}),
+     "unknown parameter keys: ['rtol']"),
     ("spectrum", spectrum_config(probe={"G_mu": 1e-3, "Omega_mu": 2.0}),
      "unknown keys in 'probe': ['Omega_mu']"),
     ("spectrum", spectrum_config(scheme=dict(SCHEME, omega_mn=5.0e14)),
@@ -500,7 +514,8 @@ def certify_config(**section):
         "label-number", "grid-max-infinity", "parameter-minus-infinity",
         "tolerance-nan", "grid-count-float", "grid-count-string", "grid-count-bool",
         "grid-min-string", "drive-G-bool", "parameter-count-float",
-        "parameter-G-bool", "parameter-rtol-bool", "probe-Omega_mu", "scheme-omega_mn",
+        "parameter-G-bool", "parameter-vbar-bool", "parameter-rtol-unknown",
+        "probe-Omega_mu", "scheme-omega_mn",
         "scan-without-thetas"])
 def test_malformed_configs_exit_2_with_one_error_line(tmp_path, capsys, job, cfg, message):
     path = write_config(tmp_path, "malformed.json", cfg)

@@ -9,7 +9,6 @@ from dresslines import (
     ProcessKind,
     ThermalEnsemble,
     apply_process_signs,
-    vbar_from_temperature,
 )
 
 
@@ -47,12 +46,11 @@ def test_field_validation():
 def test_vbar_roundtrip():
     # Ne-20 mass at room temperature; frozen 50-digit reference.
     m = 3.3509e-26
-    v = vbar_from_temperature(300.0, m)
-    assert v == pytest.approx(497.20619687244640436, rel=1e-12)
     ens = ThermalEnsemble.from_temperature(300.0, m)
-    assert ens.vbar == pytest.approx(v, rel=1e-15)
-    with pytest.raises(ValueError):
-        vbar_from_temperature(-10.0, m)
+    assert ens.vbar == pytest.approx(497.20619687244640436, rel=1e-12)
+    for temperature, mass in ((-10.0, m), (0.0, m), (300.0, 0.0)):
+        with pytest.raises(ValueError, match="temperature and mass must be > 0"):
+            ThermalEnsemble.from_temperature(temperature, mass)
 
 
 def test_process_kind_signs():

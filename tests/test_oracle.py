@@ -1,6 +1,5 @@
 """Brute-force reference routes: time-domain solver, velocity quadrature, certify."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +12,8 @@ from dresslines import (
     ConvergenceError,
     DriveField,
     LevelScheme,
-    OdeSettings,
     ProbeField,
+    RegimeError,
     ThermalEnsemble,
     certify,
     doppler_strong_doublet,
@@ -28,6 +27,7 @@ from dresslines import (
     weak_doublet_components,
     weak_pointwise,
 )
+from dresslines import doppler as dop
 from dresslines import oracle
 from dresslines.oracle import _pole_distance
 
@@ -40,21 +40,6 @@ def test_no_drive_no_emission():
     probe = ProbeField(G_mu=1e-3)
     w = w_mu_time_domain_grid(SCHEME, DriveField(G=0.0, Omega=4.0), probe, [1.0])[0]
     assert w == pytest.approx(0.0, abs=1e-25)
-
-
-def test_velocity_equals_shifted_detunings():
-    # A moving emitter only shifts the two detunings; solving in its frame
-    # must agree with shifting the fields for an emitter at rest.
-    probe = ProbeField(G_mu=1e-3, k_mu=1.5, theta=0.8)
-    Omega_mu = 2.0
-    vx, vy = 0.7, -1.2
-    w_moving = w_mu_time_domain_grid(SCHEME, DRIVE, probe, [Omega_mu],
-                                     velocity=(vx, vy, 3.0))[0]
-    drive_shift = dataclasses.replace(DRIVE, Omega=DRIVE.Omega - DRIVE.k * vx)
-    mu_shift = Omega_mu - probe.k_mu * (
-        vx * math.cos(probe.theta) + vy * math.sin(probe.theta))
-    w_rest = w_mu_time_domain_grid(SCHEME, drive_shift, probe, [mu_shift])[0]
-    assert w_moving == pytest.approx(w_rest, rel=1e-9)
 
 
 def test_self_check_path(monkeypatch):
@@ -73,14 +58,13 @@ def test_self_check_path(monkeypatch):
 
     monkeypatch.setattr(oracle, "solve_ivp", spy)
     nudge = False
-    checked = w_mu_time_domain_grid(SCHEME, DRIVE, probe, grid,
-                                    settings=OdeSettings(check=True))
+    checked = w_mu_time_domain_grid(SCHEME, DRIVE, probe, grid, halving_check=True)
     assert rtols == [1e-11, 5e-12]
     assert checked == pytest.approx(base, rel=1e-8)
     rtols.clear()
     nudge = True
     with pytest.raises(ConvergenceError, match="grid point 1"):
-        w_mu_time_domain_grid(SCHEME, DRIVE, probe, grid, settings=OdeSettings(check=True))
+        w_mu_time_domain_grid(SCHEME, DRIVE, probe, grid, halving_check=True)
 
 
 def test_grid_matches_scalar_calls():
@@ -90,11 +74,6 @@ def test_grid_matches_scalar_calls():
     for x, w in zip(grid, got):
         single = w_mu_time_domain_grid(SCHEME, DRIVE, probe, [x])[0]
         assert w == pytest.approx(single, rel=1e-12)
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        OdeSettings(rtol=0.0)
 
 
 def test_velocity_average_constant():
@@ -223,12 +202,107 @@ def test_velocity_average_of_lorentzian_is_voigt(d, scale, u):
 
 
 def test_certify_rejects_unknown_inputs():
-    assert set(CLOSED_FORM_IDS) == {
-        "eq2_6", "eq2_7", "eq3_2", "eq3_3", "eq4_2", "eq5_2"}
+    assert CLOSED_FORM_IDS == ("eq2_6", "eq2_7", "eq3_2", "eq3_3", "eq4_2", "eq5_2")
     with pytest.raises(ValueError):
         certify("eq9_9", {}, 1e-6)
     with pytest.raises(ValueError):
         certify("eq2_6", {"gamma_x": 1.0}, 1e-6)
+    # the ODE step tolerances are constants, not parameters
+    for key in ("rtol", "atol"):
+        with pytest.raises(ValueError, match=f"unknown parameter keys: \\['{key}'\\]"):
+            certify("eq2_6", {key: 1e-12}, 1e-6)
+
+
+# One in-regime set per id: (id, parameters, tolerance, regime ratio keys in
+# report order, measure).
+IN_REGIME = [
+    ("eq2_6", {"G": 5.0, "Omega": -2.0, "omega_mu_min": -12.0, "omega_mu_max": 12.0,
+               "omega_mu_count": 6}, 1e-6, [],
+     "exact form vs time-domain integration, pointwise relative"),
+    ("eq2_7", {"G": 0.012, "omega_mu_count": 5}, 1e-4, ["G_over_weak_scale"],
+     "weak-drive form vs time-domain integration, peak relative"),
+    ("eq3_2", {"G": 1.0, "Omega": 600.0, "k": 8.0, "k_mu": 6.0, "theta": 0.7,
+               "omega_mu_min": -10.0, "omega_mu_max": 610.0, "omega_mu_count": 7},
+     1e-8, ["Omega_over_drive_doppler"],
+     "averaged doublet vs trapezoidal quadrature, pointwise relative"),
+    ("eq3_3", {"G": 1.0, "Omega": 5000.0, "k": 400.0, "k_mu": 400.0,
+               "theta": math.pi / 2, "omega_mu_min": -800.0, "omega_mu_max": 800.0,
+               "omega_mu_count": 21},
+     1e-2, ["Omega_over_drive_doppler", "doppler_over_width"],
+     "Gaussian approximation vs full averaged doublet, peak relative"),
+    ("eq4_2", {"k": 3.0, "k_mu": 2.0, "theta": 1.2, "omega_mu_count": 5}, 1e-6,
+     ["G_over_drive_doppler"],
+     "averaged dressed doublet vs trapezoidal quadrature, pointwise relative"),
+    ("eq5_2", {"gamma_m": 0.5, "gamma_n": 0.5, "G": 500.0, "Omega": 2.0, "k": 1.0,
+               "k_mu": 1.5, "theta": 0.3, "omega_mu_min": -1100.0, "omega_mu_max": 1100.0,
+               "omega_mu_count": 9},
+     1e-8, ["G_over_Omega", "G_over_Gamma", "G_over_doppler"],
+     "averaged triplet vs trapezoidal quadrature, pointwise relative"),
+]
+
+
+@pytest.mark.parametrize("cid, params, tol, keys, measure", IN_REGIME,
+                         ids=[case[0] for case in IN_REGIME])
+def test_certify_every_id_in_regime(cid, params, tol, keys, measure):
+    report = certify(cid, params, tol)
+    assert report.passed and report.regime_ok
+    assert report.n_points == params["omega_mu_count"]
+    assert report.explanation == f"pass; measure: {measure}"
+    assert list(report.regime_ratios) == keys
+    assert report.max_rel_dev <= tol
+
+
+@pytest.mark.parametrize("cid, params, tol, need, measure", [
+    ("eq2_7", {"omega_mu_count": 3}, 1e-4,
+     "weak-drive expansion needs G/|Omega - i(gamma_n-gamma_m)| <= 0.01",
+     "weak-drive form vs time-domain integration, peak relative"),
+    ("eq3_3", {"G": 1.0, "Omega": 50.0, "k": 1.0, "k_mu": 1.0, "theta": math.pi / 2,
+               "omega_mu_min": -10.0, "omega_mu_max": 60.0, "omega_mu_count": 5}, 1e-2,
+     "Gaussian form needs every Doppler scale >= 100x its natural width",
+     "Gaussian approximation vs full averaged doublet, peak relative"),
+    ("eq5_2", {"G": 50.0, "Omega": 1.0, "k": 10.0, "k_mu": 9.0,
+               "omega_mu_min": -120.0, "omega_mu_max": 120.0, "omega_mu_count": 5}, 1e-8,
+     "strong-drive triplet limit needs G at least 10x each of |Omega|, Gamma, k*vbar",
+     "averaged triplet vs trapezoidal quadrature, pointwise relative"),
+], ids=["eq2_7", "eq3_3", "eq5_2"])
+def test_certify_gated_id_outside_regime(cid, params, tol, need, measure):
+    report = certify(cid, params, tol)
+    assert not report.regime_ok and not report.passed
+    assert report.explanation == (f"regime violation, not a code defect: {need}; "
+                                  f"ratios {report.regime_ratios}; "
+                                  f"deviation measure: {measure}")
+
+
+@pytest.mark.parametrize("cid", ["eq2_6", "eq2_7", "eq3_2", "eq4_2"])
+def test_certify_zero_reference_is_a_regime_error(cid):
+    # No drive, no emission: a deviation relative to a zero reference is
+    # undefined, and certify must say so instead of reporting nan.
+    with pytest.raises(RegimeError, match=f"^{cid}: the reference .* is zero"):
+        certify(cid, {"G": 0.0, "omega_mu_count": 3}, 1e-6)
+
+
+def test_certify_calls_the_module_level_routes(monkeypatch):
+    # A wrapper bound to a route's or builder's module-level name (a test
+    # spy, a tracer) must see certify's calls.
+    called = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(oracle, "w_mu_time_domain_grid")
+    spy(oracle, "velocity_average")
+    spy(dop, "strong_doublet_components")
+    certify("eq2_6", {"omega_mu_count": 3}, 1e-6)
+    assert called == ["w_mu_time_domain_grid"]
+    report = certify("eq4_2", {"k": 3.0, "k_mu": 3.0, "omega_mu_count": 3}, 1e-6)
+    assert report.passed
+    assert called[1:] == ["strong_doublet_components"] + ["velocity_average"] * 3
 
 
 def test_certify_exact_form_passes():

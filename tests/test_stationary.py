@@ -19,7 +19,6 @@ from dresslines import (
     w_mu_weak,
     weak_field_ratio,
 )
-from dresslines.oracle import OdeSettings
 
 rng = np.random.default_rng(77001)
 
@@ -76,8 +75,7 @@ def test_confluent_point_matches_time_domain():
     assert dressed_exponents(scheme, drive).is_degenerate
     grid = np.array([-3.0, 0.0, 1.7, 5.0])
     w = w_mu_exact(scheme, drive, PROBE, grid)
-    ref = w_mu_time_domain_grid(scheme, drive, PROBE, grid,
-                                settings=OdeSettings(rtol=1e-12, atol=1e-14))
+    ref = w_mu_time_domain_grid(scheme, drive, PROBE, grid, halving_check=True)
     assert np.max(np.abs(w - ref) / np.abs(ref)) < 1e-8
 
 
@@ -89,8 +87,7 @@ def test_near_confluent_continuity():
     for Om in (1e-4, 1e-8, 1e-10, 1e-12, 1e-14, 1e-15, 0.0):
         drive = DriveField(G=1.0, Omega=Om)
         w = w_mu_exact(scheme, drive, PROBE, grid)
-        ref = w_mu_time_domain_grid(scheme, drive, PROBE, grid,
-                                    settings=OdeSettings(rtol=1e-12, atol=1e-14))
+        ref = w_mu_time_domain_grid(scheme, drive, PROBE, grid, halving_check=True)
         assert np.max(np.abs(w - ref) / np.abs(ref)) < 1e-8, Om
 
 
