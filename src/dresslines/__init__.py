@@ -20,7 +20,6 @@ from .doppler import (
     doppler_strong_doublet,
     doppler_weak_doublet,
     effective_q,
-    erfcx_complex,
     find_peak,
     fluorescence_triplet,
     fwhm,
@@ -32,6 +31,7 @@ from .doppler import (
     weak_doublet_components,
     weak_doublet_gaussian,
 )
+from .faddeeva import wofz
 from .model import (
     DriveField,
     LevelScheme,
@@ -81,7 +81,6 @@ __all__ = [
     "doublet_resolved",
     "dressed_exponents",
     "effective_q",
-    "erfcx_complex",
     "find_peak",
     "fluorescence_triplet",
     "fwhm",
@@ -101,4 +100,5 @@ __all__ = [
     "weak_doublet_gaussian",
     "weak_pointwise",
     "weak_field_ratio",
+    "wofz",
 ]

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -254,14 +254,19 @@ def _write_json(path: Path, obj):
     path.write_text(json.dumps(_sanitize(obj), indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header, rows):
-    """A None field, which could not be measured, is empty: JSON's null."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if v is None
-                              else repr(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _csv_column(values):
+    """The CSV fields of one column: a float (np.floating too) in its
+    shortest round-trip repr, a None, which could not be measured, empty
+    (JSON's null), anything else as str."""
+    if all(type(v) is float for v in values):
+        return map(repr, values)
+    return ["" if v is None else repr(float(v)) if isinstance(v, (float, np.floating))
+            else str(v) for v in values]
+
+
+def _write_csv(path: Path, header, columns):
+    fields = zip(*(_csv_column(c) for c in columns))
+    path.write_text("\n".join([",".join(header), *map(",".join, fields)]) + "\n")
 
 
 def _measure_component(density, window, label):
@@ -302,7 +307,7 @@ def _write_line(cfg, out_dir, base, fmt, density, components, **summary):
     if fmt in ("csv", "both"):
         w = np.atleast_1d(density(cfg.grid))
         _write_csv(out_dir / f"{base}.csv", ("omega_mu_detuning", "w"),
-                   zip(cfg.grid.tolist(), w.tolist()))
+                   (cfg.grid.tolist(), w.tolist()))
     if fmt == "csv":
         return 0
 
@@ -408,7 +413,7 @@ def run_theta_scan(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
     if fmt in ("csv", "both"):
         _write_csv(out_dir / f"{base}_scan.csv",
                    ("theta", "component", "center", "fwhm", "peak_height", "area"),
-                   rows)
+                   list(zip(*rows)))
     if fmt in ("json", "both"):
         _write_json(out_dir / f"{base}_scan.json",
                     {"job": "scan", "schema_version": SCHEMA_VERSION,
@@ -460,6 +465,7 @@ JOB_TABLE = {
 }
 
 
+@cache  # built once per process: main runs many jobs in one survey
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dresslines",

@@ -11,8 +11,8 @@ interpolates between a stepwise line (M = 0, full probe Doppler width
 k_mu*vbar) and a fully correlated two-photon line (M = 1, width |k_mu - k|
 vbar, vanishing for forward observation at k_mu = k).
 
-All profiles are expressed through the scaled complementary error function
-of complex argument, erfcx(z) = exp(z**2)*erfc(z).
+Every profile is the real part of the Faddeeva function w(z), from the
+package's own numpy kernel in faddeeva.py.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from .dressed import dressed_exponents, memory_factors
+from .faddeeva import blockwise, w_block, w_scalar
 from .model import (
     DriveField,
     LevelScheme,
@@ -37,22 +37,6 @@ from .model import (
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def erfcx_complex(z):
-    """Scaled complementary error function exp(z^2)*erfc(z) for Re(z) >= 0.
-
-    Evaluated through the Faddeeva function, erfcx(z) = w(i*z), which is
-    numerically stable in the closed right half plane.  Arguments with
-    Re(z) < 0 are rejected: the line-shape formulas never produce them and
-    the reflection formula would reintroduce the exp(z^2) growth.
-    Scalar in, scalar out; arrays pass through elementwise.
-    """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.real < 0):
-        raise ValueError("erfcx_complex requires Re(z) >= 0")
-    out = wofz(1j * z)
-    return out if out.shape else complex(out)
-
-
 def effective_q(k: float, k_mu: float, theta: float, M: float) -> float:
     """Effective wave vector controlling one component's Doppler width."""
     if k < 0 or k_mu < 0:
@@ -64,26 +48,52 @@ def effective_q(k: float, k_mu: float, theta: float, M: float) -> float:
     return math.sqrt((k_mu - M * k) ** 2 + 4.0 * M * k * k_mu * math.sin(theta / 2.0) ** 2)
 
 
-def voigt_density(natural_halfwidth: float, detuning, doppler_scale: float):
+def voigt_density(natural_halfwidth, detuning, doppler_scale):
     """Lorentzian of half-width a convolved with a Gaussian of 1/e half-width s.
 
     Normalized so the area over detuning is pi, matching the bare Lorentzian
     a/(a**2 + x**2).  doppler_scale = 0 returns that Lorentzian exactly.
     Vectorized over detuning; a float detuning (np.float64 included) returns
     a Python float, bit-identical to the array path at any finite detuning.
+    natural_halfwidth and doppler_scale may be arrays that broadcast against
+    an array detuning, such as one (k, 1) row per component of a (k, n)
+    detuning, so that one call evaluates k components.
     """
-    a = float(natural_halfwidth)
-    if a <= 0:
+    if isinstance(detuning, float):
+        a, s = float(natural_halfwidth), float(doppler_scale)
+        if not a > 0:
+            raise ValueError("natural_halfwidth must be > 0")
+        if s < 0:
+            raise ValueError("doppler_scale must be >= 0")
+        return _voigt(a, float(detuning), s)
+    a = np.asarray(natural_halfwidth, dtype=float)
+    s = np.asarray(doppler_scale, dtype=float)
+    if not (a > 0).all():
         raise ValueError("natural_halfwidth must be > 0")
-    # one expression for a Python float and an array, so both round alike
-    x = float(detuning) if isinstance(detuning, float) else np.asarray(detuning, dtype=float)
-    s = doppler_scale
+    if (s < 0).any():
+        raise ValueError("doppler_scale must be >= 0")
+    x = np.asarray(detuning, dtype=float)
+    out = blockwise(_voigt, _voigt_block, np.empty(np.broadcast(a, x, s).shape), a, x, s)
+    return out if out.ndim else float(out)
+
+
+def _voigt(a: float, x: float, s: float) -> float:
+    """voigt_density for Python floats."""
     if s == 0.0:
+        return a / (a * a + x * x)
+    inv = 1.0 / s
+    return (_SQRT_PI / s) * w_scalar(x * inv, a * inv)[0]
+
+
+def _voigt_block(a, x, s):
+    """voigt_density for 1-D float arrays, with the operations of _voigt."""
+    if not s.all():  # the zero scales are Lorentzians
         out = a / (a * a + x * x)
-    else:
-        inv = 1.0 / s
-        out = (_SQRT_PI / s) * wofz(-x * inv + 1j * (a * inv)).real
-    return out if isinstance(out, np.ndarray) else float(out)
+        v = s != 0.0
+        out[v] = _voigt_block(a[v], x[v], s[v])
+        return out
+    inv = 1.0 / s
+    return (_SQRT_PI / s) * w_block(x * inv, a * inv)[0]
 
 
 @dataclass(frozen=True)
@@ -110,11 +120,27 @@ class DopplerComponent:
 
 
 def density_sum(components, Omega_mu):
-    """Sum of the components' densities at Omega_mu, added left to right."""
-    out = components[0].density(Omega_mu)
-    for c in components[1:]:
-        out = out + c.density(Omega_mu)
-    return out
+    """Sum of the components' densities at Omega_mu, added left to right.
+
+    An array Omega_mu takes one voigt_density call for all components, one
+    row each, with the operations of the per-component float path.
+    """
+    if isinstance(Omega_mu, float):
+        terms = [c.density(Omega_mu) for c in components]
+    else:
+        x = np.asarray(Omega_mu, dtype=float)
+        shape = (len(components),) + (1,) * x.ndim
+
+        def column(field):
+            return np.reshape([getattr(c, field) for c in components], shape)
+
+        rows = voigt_density(column("natural_halfwidth"), x - column("center"),
+                             column("doppler_scale"))
+        terms = [c.weight * row for c, row in zip(components, rows)]
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out if isinstance(out, (float, np.ndarray)) else float(out)  # 0-d: a float
 
 
 def weak_doublet_components(

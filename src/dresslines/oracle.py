@@ -9,7 +9,7 @@ Two independent routes:
 * Velocity space: the tensor-product trapezoidal rule over the (at most
   two) velocity projections a pointwise spectrum depends on, with a step
   worked out from the distance of the nearest line-shape pole, against
-  which the erfcx-based averaged forms are certified.
+  which the Voigt-based averaged forms are certified.
 
 `certify` runs one row of a table of closed forms, keyed by identifier:
 the form, its reference route, a deviation measure and a regime check.

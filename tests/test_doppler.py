@@ -20,7 +20,6 @@ from dresslines import (
     doppler_weak_doublet,
     dressed_exponents,
     effective_q,
-    erfcx_complex,
     find_peak,
     fluorescence_triplet,
     fwhm,
@@ -31,6 +30,7 @@ from dresslines import (
     voigt_density,
     weak_doublet_components,
     weak_doublet_gaussian,
+    wofz,
 )
 
 rng = np.random.default_rng(99123)
@@ -46,29 +46,30 @@ def erfcx_reference(z: complex) -> complex:
 
 
 def test_erfcx_frozen_values():
-    # References computed with the 50-digit oracle before the implementation.
-    assert erfcx_complex(0.0) == pytest.approx(1.0, rel=1e-14)
-    assert erfcx_complex(10.0) == pytest.approx(0.056140992743822585858, rel=1e-13)
-    assert erfcx_complex(1 + 1j) == pytest.approx(
+    # erfcx(z) = w(iz).  References computed with the 50-digit oracle.
+    assert wofz(0.0) == pytest.approx(1.0, rel=1e-14)
+    assert wofz(10.0j) == pytest.approx(0.056140992743822585858, rel=1e-13)
+    assert wofz(1j * (1 + 1j)) == pytest.approx(
         0.30474420525691259246 - 0.20821893820283162729j, rel=1e-13)
-    assert erfcx_complex(0.5 - 2j) == pytest.approx(
+    assert wofz(1j * (0.5 - 2j)) == pytest.approx(
         0.10335882374136665895 + 0.28478588475009374558j, rel=1e-13)
 
 
 def test_erfcx_against_reference_sweep():
     for _ in range(60):
         z = complex(rng.uniform(0, 50.0), rng.uniform(-50.0, 50.0))
-        got = erfcx_complex(z)
+        got = wofz(1j * z)
         ref = erfcx_reference(z)
         assert abs(got - ref) / abs(ref) < 1e-12
 
 
 def test_erfcx_rejects_left_half_plane():
-    with pytest.raises(ValueError):
-        erfcx_complex(-0.1 + 1j)
-    arr = np.array([1 + 1j, -1e-9])
-    with pytest.raises(ValueError):
-        erfcx_complex(arr)
+    # erfcx(z) = w(iz): Re z < 0 puts iz below the real axis
+    with pytest.raises(ValueError, match="Im z >= 0"):
+        wofz(1j * (-0.1 + 1j))
+    arr = 1j * np.array([1 + 1j, -1e-9])
+    with pytest.raises(ValueError, match="Im z >= 0"):
+        wofz(arr)
 
 
 def test_effective_q_boundaries():
