@@ -269,20 +269,37 @@ def _write_csv(path: Path, header, columns):
     path.write_text("\n".join([",".join(header), *map(",".join, fields)]) + "\n")
 
 
-def _measure_component(density, window, label):
-    """Numeric peak/FWHM/area of one component of `density` inside `window`.
+class _Line(NamedTuple):
+    """A line measured without components: a line the spectrum job
+    predicts, or a whole grid as "total", which has no center."""
 
-    A component of zero height has no center: its center is None."""
+    label: str
+    center: float
+
+
+def _measure_component(density, window, line, components=()):
+    """Peak/FWHM/area of `line` of `density` inside `window`.
+
+    An averaged density is the density_sum of its DopplerComponents,
+    `components`, and line is one of them: its window is measured from them
+    by doppler.component_line, unless they cannot show that the peak found
+    is the window's maximum.  That window, and every window of the
+    spectrum, is measured numerically by fwhm and integrated_intensity.  A
+    component of zero height has no center: its center is None."""
     lo, hi = window
-    try:
-        width, x0, h = dop.fwhm(density, lo, hi)
-    except dop.NoHalfMaximum as e:
-        width, x0, h = None, e.x_peak, e.height
-    try:
-        area = dop.integrated_intensity(density, (lo, hi))
-    except ValueError:
-        area = None
-    return {"label": label, "center": x0 if h > 0 else None, "fwhm": width,
+    got = dop.component_line(components, line, lo, hi) if components else None
+    if got is not None:
+        x0, width, h, area = got
+    else:
+        try:
+            width, x0, h = dop.fwhm(density, lo, hi)
+        except dop.NoHalfMaximum as e:
+            width, x0, h = None, e.x_peak, e.height
+        try:
+            area = dop.integrated_intensity(density, (lo, hi))
+        except ValueError:
+            area = None
+    return {"label": line.label, "center": x0 if h > 0 else None, "fwhm": width,
             "peak_height": h, "area": area}
 
 
@@ -294,15 +311,17 @@ def _regime_ratios(cfg) -> dict:
             "G_over_drive_doppler": dop.regime_ratio(drive.G, kv)}
 
 
-def _write_line(cfg, out_dir, base, fmt, density, components, **summary):
+def _write_line(cfg, out_dir, base, fmt, density, lines, components=(), **summary):
     """Write density on the grid as CSV and its measured summary as JSON.
 
-    Only the summary is measured, so --format csv measures nothing.
-    components lists (label, predicted center) pairs, and the summary lists
-    them in the order of those centers.  If every center lies strictly
-    inside the grid and no two coincide, the grid is split at the midpoints
-    and each piece measured under its label, else the whole grid is measured
-    as "total".  summary holds the regime_ratios, doublet_resolved and notes.
+    Only the summary is measured, so --format csv measures nothing.  lines
+    lists the predicted lines, each with a label and a center, and the
+    summary lists them in the order of those centers.  For an averaged job,
+    components are the DopplerComponents that density sums, and the lines
+    are they.  If every center lies strictly inside the grid and no two
+    coincide, the grid is split at the midpoints and each piece measured
+    under its label, else the whole grid is measured as "total".  summary
+    holds the regime_ratios, doublet_resolved and notes.
     """
     if fmt in ("csv", "both"):
         w = np.atleast_1d(density(cfg.grid))
@@ -312,14 +331,14 @@ def _write_line(cfg, out_dir, base, fmt, density, components, **summary):
         return 0
 
     lo, hi = float(cfg.grid[0]), float(cfg.grid[-1])
-    components = sorted(components, key=lambda c: c[1])
-    centers = [c for _, c in components]
+    lines = sorted(lines, key=lambda line: line.center)
+    centers = [line.center for line in lines]
     if centers and all(lo < c < hi for c in centers) and len(set(centers)) == len(centers):
         bounds = [lo, *(0.5 * (a + b) for a, b in zip(centers, centers[1:])), hi]
-        measured = [_measure_component(density, (bounds[i], bounds[i + 1]), label)
-                    for i, (label, _) in enumerate(components)]
+        measured = [_measure_component(density, (bounds[i], bounds[i + 1]), line, components)
+                    for i, line in enumerate(lines)]
     else:
-        measured = [_measure_component(density, (lo, hi), "total")]
+        measured = [_measure_component(density, (lo, hi), _Line("total", math.nan))]
     _write_json(out_dir / f"{base}_summary.json",
                 {"job": cfg.job, "schema_version": SCHEMA_VERSION, "label": cfg.label,
                  "components": measured, **summary})
@@ -339,7 +358,7 @@ def run_spectrum_job(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
     centers = sorted([s_mu * pair.alpha1.imag, s_mu * pair.alpha2.imag])
     return _write_line(
         cfg, out_dir, base, fmt, density,
-        [(f"dressed{i + 1}", c) for i, c in enumerate(centers)] if resolved else [],
+        [_Line(f"dressed{i + 1}", c) for i, c in enumerate(centers)] if resolved else [],
         regime_ratios={"G_over_weak_scale": weak_field_ratio(cfg.scheme, signed_drive)},
         doublet_resolved=bool(resolved),
         notes={"unit_convention": UNIT_NOTE,
@@ -385,8 +404,7 @@ def run_averaged_job(family: str, cfg: JobConfig, out_dir: Path, base: str,
     else:
         notes["kind"] = cfg.kind.name.lower()
 
-    return _write_line(cfg, out_dir, base, fmt, density,
-                       [(c.label, c.center) for c in comps],
+    return _write_line(cfg, out_dir, base, fmt, density, comps, components=comps,
                        regime_ratios=_regime_ratios(cfg), doublet_resolved=resolved,
                        notes=notes)
 
@@ -394,20 +412,18 @@ def run_averaged_job(family: str, cfg: JobConfig, out_dir: Path, base: str,
 def run_theta_scan(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
     """Sweep theta: each component's center, FWHM, peak height and area.
 
-    A row is its component: its center, its density there and pi*weight
-    (voigt_density has area pi), an area no direction changes.  Only the
-    FWHM is measured, within 2(a + s) of the center: a Voigt's half width
-    lies between max(a, s*sqrt(ln 2)) and a + s*sqrt(ln 2)."""
+    A row is its component, one Voigt: its center, its density there and
+    pi*weight (voigt_density has area pi), an area no direction changes.
+    Its FWHM is doppler.voigt_fwhm of its natural half-width and Doppler
+    scale, a root search on the bracket that bounds every Voigt's half
+    width; a component of zero weight has none."""
     rows = []
     for theta in cfg.thetas:
         comps = _averaged_components(cfg, cfg.scan_family, replace(cfg.probe, theta=theta))
         for c in sorted(comps, key=lambda c: (c.center, c.label)):
             x0 = float(c.center)
-            r = 2.0 * (c.natural_halfwidth + c.doppler_scale)
-            try:
-                width = dop.fwhm(c.density, x0 - r, x0 + r)[0]
-            except ValueError:  # a zero weight has no half maximum
-                width = None
+            width = (dop.voigt_fwhm(c.natural_halfwidth, c.doppler_scale)
+                     if c.weight > 0 else None)
             rows.append((theta, c.label, x0, width, c.density(x0), math.pi * c.weight))
 
     if fmt in ("csv", "both"):

@@ -35,6 +35,7 @@ from .model import (
 )
 
 _SQRT_PI = math.sqrt(math.pi)
+_SQRT_LN2 = math.sqrt(math.log(2.0))
 
 
 def effective_q(k: float, k_mu: float, theta: float, M: float) -> float:
@@ -119,6 +120,12 @@ class DopplerComponent:
         return self.weight * voigt_density(self.natural_halfwidth, x, self.doppler_scale)
 
 
+def _column(components, field, ndim=1):
+    """One field of every component, a row each, against ndim axes of detuning."""
+    return np.reshape([getattr(c, field) for c in components],
+                      (len(components),) + (1,) * ndim)
+
+
 def density_sum(components, Omega_mu):
     """Sum of the components' densities at Omega_mu, added left to right.
 
@@ -129,13 +136,9 @@ def density_sum(components, Omega_mu):
         terms = [c.density(Omega_mu) for c in components]
     else:
         x = np.asarray(Omega_mu, dtype=float)
-        shape = (len(components),) + (1,) * x.ndim
-
-        def column(field):
-            return np.reshape([getattr(c, field) for c in components], shape)
-
-        rows = voigt_density(column("natural_halfwidth"), x - column("center"),
-                             column("doppler_scale"))
+        rows = voigt_density(_column(components, "natural_halfwidth", x.ndim),
+                             x - _column(components, "center", x.ndim),
+                             _column(components, "doppler_scale", x.ndim))
         terms = [c.weight * row for c, row in zip(components, rows)]
     out = terms[0]
     for t in terms[1:]:
@@ -483,6 +486,8 @@ _MAX_PANELS = 1000
 _EPSREL = 1e-10
 # find_peak's coarse grid, one array call of f before Brent's refinement.
 _PEAK_GRID = 2001
+# voigt_fwhm widens its bracket by this fraction against rounding.
+_BRACKET_MARGIN = 1e-9
 
 
 def _panel_sums(f, a, b):
@@ -556,33 +561,43 @@ def fwhm(f, lo: float, hi: float):
     """Full width at half maximum of a single-peaked f on [lo, hi].
 
     Returns (width, x_peak, peak_height).  Half-crossings are bracketed by
-    outward march from the peak and polished by Brent's root search to
-    1e-9 of the window.  Raises NoHalfMaximum, carrying the peak, if a
-    crossing is not found inside the window.
+    outward march from the peak, which tests the window's edge once it
+    steps past it, and polished by Brent's root search to 1e-9 of the
+    window.  Raises NoHalfMaximum, carrying the peak, if a crossing is not
+    found inside the window.
     """
     x0, h = find_peak(f, lo, hi)
+    return _half_maximum_width(f, lo, hi, x0, h), x0, h
+
+
+def _half_maximum_width(f, lo: float, hi: float, x0: float, h: float) -> float:
+    """Distance between fwhm's half-maximum crossings about the peak (x0, h)
+    of f on [lo, hi].  Raises NoHalfMaximum if one is not inside the window."""
     half = 0.5 * h
     span = hi - lo
 
-    def crossing(direction):
+    def crossing(direction, edge):
         step = span / 400.0
         a = x0
         b = x0 + direction * step
-        while lo <= b <= hi:
+        while True:
+            if not lo <= b <= hi:
+                b = edge
             if float(f(b)) < half:
                 return _brent_root(lambda x: float(f(x)) - half, min(a, b), max(a, b),
                                    xtol=1e-9 * span)
+            if b == edge:
+                raise ValueError("half-maximum crossing not inside the window")
             a = b
             step *= 1.6
             b = x0 + direction * (abs(a - x0) + step)
-        raise ValueError("half-maximum crossing not inside the window")
 
     try:
-        xr = crossing(+1.0)
-        xl = crossing(-1.0)
+        xr = crossing(+1.0, hi)
+        xl = crossing(-1.0, lo)
     except ValueError as e:
         raise NoHalfMaximum(str(e), x0, h) from e
-    return xr - xl, x0, h
+    return xr - xl
 
 
 def integrated_intensity(spectrum, window):
@@ -605,3 +620,68 @@ def integrated_intensity(spectrum, window):
             "integrate the full spectrum instead"
         )
     return quad(spectrum, lo, hi, points=(float(xs[i]),))
+
+
+def voigt_fwhm(natural_halfwidth: float, doppler_scale: float) -> float:
+    """Full width at half maximum of voigt_density(a, x, s) over x.
+
+    Twice the root of V(x) - V(0)/2 by Brent's method on the bracket
+    max(a, s*sqrt(ln 2)) <= x <= a + s*sqrt(ln 2), which holds for every
+    Voigt (Olivero & Longbothum, JQSRT 17 (1977) 233), widened by
+    _BRACKET_MARGIN against rounding.  s = 0, a Lorentzian, gives 2a.
+    """
+    a, s = float(natural_halfwidth), float(doppler_scale)
+    half = 0.5 * voigt_density(a, 0.0, s)  # validates a and s
+    if s == 0.0:
+        return 2.0 * a
+    g = s * _SQRT_LN2
+    return 2.0 * _brent_root(lambda x: voigt_density(a, x, s) - half,
+                             max(a, g) * (1.0 - _BRACKET_MARGIN),
+                             (a + g) * (1.0 + _BRACKET_MARGIN), xtol=0.0)
+
+
+def component_line(components, own, lo: float, hi: float):
+    """Peak, FWHM and area of the line of `own` in density_sum(components) on
+    [lo, hi], from the predicted components, where they show that the peak
+    found is the window's maximum; None where they do not.
+
+    Returns (x_peak, width, height, area).  Brent's bounded search looks for
+    the peak within r of own's center, clipped to the window, where
+    r = a + s*sqrt(ln 2) bounds the half width of own's Voigt.  Every Voigt
+    falls off from its center, so on each side of that bracket the sum is
+    at most the sum of each component's value (weight taken as >= 0) at
+    the point of the side nearest its center; both bounds must be below
+    the peak, which also puts the peak inside its bracket.  The width is
+    fwhm's crossings about that peak, None where fwhm would find none.  The
+    area is quad's, split at the peak, at +-r and at +-4r from it, and None
+    where integrated_intensity fails: a window edge above a quarter of the
+    peak, or a quadrature that does not converge.
+    """
+    def f(x):
+        return density_sum(components, x)
+
+    c = own.center
+    r = own.natural_halfwidth + _SQRT_LN2 * own.doppler_scale
+    left, right = max(lo, c - r), min(hi, c + r)
+    x0 = _brent_minimize(lambda x: -f(x), left, right,
+                         xatol=1e-12 * max(abs(left), abs(right), 1.0))
+    h = f(x0)
+
+    centers = _column(components, "center")
+    near = np.clip(centers, [lo, right], [left, hi])  # on [lo, left] and [right, hi]
+    sides = voigt_density(_column(components, "natural_halfwidth"), near - centers,
+                          _column(components, "doppler_scale"))
+    bound = (np.maximum(_column(components, "weight"), 0.0) * sides).sum(axis=0)
+    if not (bound < h).all():
+        return None
+    try:
+        width = _half_maximum_width(f, lo, hi, x0, h)
+    except NoHalfMaximum:
+        width = None
+    area = None
+    if max(f(lo), f(hi)) <= 0.25 * h:
+        try:
+            area = quad(f, lo, hi, points=(x0 - 4.0 * r, x0 - r, x0, x0 + r, x0 + 4.0 * r))
+        except ValueError:
+            pass
+    return x0, width, h, area

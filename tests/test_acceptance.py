@@ -370,7 +370,7 @@ def test_criterion_11_two_quantum_narrowing():
 
 
 def test_criterion_12_cli_golden_outputs(tmp_path):
-    mismatches = []
+    mismatches, regenerate = [], []
     for job, stem, outputs in (
         ("spectrum", "spectrum_golden", ("spectrum_golden.csv",
                                          "spectrum_golden_summary.json")),
@@ -381,15 +381,18 @@ def test_criterion_12_cli_golden_outputs(tmp_path):
         if code != 0:
             mismatches.append(f"{job} exit {code}")
             continue
-        for name in outputs:
-            got = (tmp_path / name).read_bytes()
-            want = (GOLDEN / name).read_bytes()
-            if got != want:
-                mismatches.append(name)
+        moved = [name for name in outputs
+                 if (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()]
+        mismatches += moved
+        if moved:
+            regenerate.append(f"python -m dresslines.cli {job} "
+                              f"--config tests/golden/{stem}.json --out tests/golden")
     ok = not mismatches
     verdict(12, ok,
             "command line reruns reproduce the committed golden outputs "
-            "byte for byte" + ("" if ok else f" (mismatch: {mismatches})"))
+            "byte for byte" + ("" if ok else
+                               f" (mismatch: {mismatches}; if the change is intended, "
+                               f"regenerate with: {'; '.join(regenerate)})"))
 
 
 def test_golden_summary_is_valid_json():

@@ -242,7 +242,7 @@ def test_scan_job(tmp_path):
             assert row["center"] == c.center
             assert row["area"] == pytest.approx(math.pi * c.weight, rel=1e-14)
             assert row["area"] == rows[(0.0, c.label)]["area"]
-            assert row["fwhm"] == pytest.approx(exact_fwhm[c.label][theta], rel=1e-7)
+            assert row["fwhm"] == pytest.approx(exact_fwhm[c.label][theta], rel=1e-13)
 
 
 def test_scan_without_drive_has_zero_area_and_no_fwhm(tmp_path):
@@ -288,6 +288,27 @@ def test_failed_fwhm_keeps_its_peak(tmp_path, monkeypatch):
     assert summary["components"] == [
         {"label": label, "center": None, "fwhm": None, "peak_height": 0.0, "area": None}
         for label in ("stepwise", "raman")]
+
+
+@pytest.mark.parametrize("job,cfg", [
+    ("doublet", doppler_config(job="doublet", drive={"G": 30.0, "Omega": 5.0, "k": 4.0})),
+    ("triplet", triplet_config())])
+def test_averaged_lines_are_measured_from_their_components(tmp_path, monkeypatch, job, cfg):
+    # each window's peak is searched about its own predicted component, and
+    # its isolation checked at the window's edges: no peak-search grid, and
+    # no density call on as many points as the 801-point isolation grid
+    cfg_path = write_config(tmp_path, "line.json", cfg)
+    peaks, sizes = [], []
+    find_peak, density_sum = cli.dop.find_peak, cli.dop.density_sum
+    monkeypatch.setattr(cli.dop, "find_peak", lambda *a: peaks.append(a) or find_peak(*a))
+    monkeypatch.setattr(cli.dop, "density_sum",
+                        lambda comps, x: sizes.append(np.size(x)) or density_sum(comps, x))
+    assert main([job, "--config", str(cfg_path), "--out", str(tmp_path),
+                 "--format", "json"]) == 0
+    assert peaks == [] and 0 < max(sizes) < 801
+    summary = json.loads((tmp_path / "line_summary.json").read_text())
+    assert len(summary["components"]) == (2 if job == "doublet" else 3)
+    assert all(v is not None for c in summary["components"] for v in c.values())
 
 
 def test_no_job_but_certify_loads_scipy(tmp_path):

@@ -5,19 +5,23 @@ scipy step for step, so on random Lorentzian and Voigt pairs they must
 return what scipy's minimize_scalar and brentq return, bit for bit.  quad
 is the package's own Gauss-Legendre rule: it must agree with a
 tight-tolerance scipy quad split at dense breakpoints, and give up, in
-bounded memory, on an integrand that never converges.
+bounded memory, on an integrand that never converges.  The measures from
+the predicted components, component_line and voigt_fwhm, must agree with
+the generic measures and with 50-digit half-maximum crossings.
 """
 
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq, minimize_scalar
 
+from dresslines import cli
 from dresslines import doppler as dop
 from dresslines.doppler import DopplerComponent, density_sum, find_peak, fwhm
 
@@ -43,21 +47,24 @@ def reference_fwhm(f, lo, hi):
     half = 0.5 * h
     span = hi - lo
 
-    def crossing(direction):
+    def crossing(direction, edge):
         step = span / 400.0
         a = x0
         b = x0 + direction * step
-        while lo <= b <= hi:
+        while True:
+            if not lo <= b <= hi:  # stepped past the window: its edge, once
+                b = edge
             if float(f(b)) < half:
                 return brentq(lambda x: float(f(x)) - half, min(a, b), max(a, b),
                               xtol=1e-9 * span)
+            if b == edge:
+                raise ValueError("half-maximum crossing not inside the window")
             a = b
             step *= 1.6
             b = x0 + direction * (abs(a - x0) + step)
-        raise ValueError("half-maximum crossing not inside the window")
 
-    xr = crossing(+1.0)
-    xl = crossing(-1.0)
+    xr = crossing(+1.0, hi)
+    xl = crossing(-1.0, lo)
     return xr - xl, x0, h
 
 
@@ -109,6 +116,15 @@ def test_fwhm_matches_scipy_bit_for_bit(comps, margin, narrow):
         assert (e.value.x_peak, e.value.height) == reference_find_peak(f, lo, hi)
         return
     assert fwhm(f, lo, hi) == expect
+
+
+def test_fwhm_tests_the_window_edge_its_march_steps_past():
+    # the march from the peak at 0 steps past 1.05 before it tests a point
+    # below the half maximum; the edge, at 0.476 of the peak, brackets the
+    # crossing at 1
+    width, x0, h = fwhm(lambda x: 1.0 / (1.0 + x * x), -50.0, 1.05)
+    assert (x0, h) == pytest.approx((0.0, 1.0), abs=1e-9)
+    assert width == pytest.approx(2.0, rel=1e-8)
 
 
 def tight_reference(f, lo, hi, centers):
@@ -184,3 +200,84 @@ def test_quad_gives_up_on_a_nan_integrand_in_bounded_memory():
     # the partition passes the cap; no call exceeds the cap's node count
     assert max(sizes) <= 2 * 16 * dop._MAX_PANELS
     assert len(sizes) <= math.log2(dop._MAX_PANELS) + 2
+
+
+# Two or three Voigt lines (Lorentzians where s = 0, zero weights too), in
+# units of w0: centers within 4 w0 of 0, half widths of at least w0/4,
+# windows at most 24 w0 wide, so that the generic measures' grids resolve
+# every line.  (w0, [(center, a, s, weight)], left margin, right margin)
+voigt_line = st.tuples(st.floats(min_value=-4.0, max_value=4.0),
+                       st.floats(min_value=0.25, max_value=1.0),
+                       st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=2.0)),
+                       st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=10.0)))
+line_sets = st.tuples(st.floats(min_value=0.05, max_value=20.0),
+                      st.lists(voigt_line, min_size=2, max_size=3),
+                      st.floats(min_value=0.5, max_value=8.0),
+                      st.floats(min_value=0.5, max_value=8.0))
+
+
+@PROPERTY
+@given(case=line_sets)
+# a weak line on a strong one's flank: the sum falls across its window, so
+# its components cannot place the window's maximum, and the window takes
+# the generic measures
+@example(case=(1.0, [(0.0, 1.0, 0.0, 10.0), (3.0, 1.0, 0.0, 0.05)], 4.0, 4.0))
+def test_component_line_matches_the_generic_measures(case):
+    w0, lines, left, right = case
+    comps = [component(w0 * c, w0 * a, w0 * s, weight) for c, a, s, weight in lines]
+    comps.sort(key=lambda c: c.center)
+    centers = [c.center for c in comps]
+    assume(len(set(centers)) == len(centers))
+    bounds = [centers[0] - w0 * left, *(0.5 * (a + b) for a, b in zip(centers, centers[1:])),
+              centers[-1] + w0 * right]
+
+    def density(x):
+        return density_sum(comps, x)
+
+    for own, window in zip(comps, zip(bounds, bounds[1:])):
+        generic = cli._measure_component(density, window, own)
+        line = dop.component_line(comps, own, *window)
+        if line is None:
+            assert cli._measure_component(density, window, own, comps) == generic
+            continue
+        x0, width, h, area = line
+        # the generic isolation check compares the edges with its 801-point
+        # grid's maximum, about 0.4% below the peak here
+        assume(not 0.245 <= max(density(w) for w in window) / h <= 0.255)
+        got = cli._measure_component(density, window, own, comps)
+        assert [got[k] is None for k in got] == [generic[k] is None for k in got]
+        r = own.natural_halfwidth + math.sqrt(math.log(2.0)) * own.doppler_scale
+        assert got["center"] == pytest.approx(generic["center"], rel=0.0, abs=1e-6 * r)
+        assert got["peak_height"] == pytest.approx(generic["peak_height"], rel=1e-12)
+        if got["fwhm"] is not None:
+            assert got["fwhm"] == pytest.approx(generic["fwhm"], rel=0.0,
+                                                abs=4e-9 * (window[1] - window[0]))
+        if got["area"] is not None:
+            assert got["area"] == pytest.approx(generic["area"], rel=2e-10)
+
+
+def mp_voigt_fwhm(a, s):
+    """Twice the 50-digit half-maximum crossing of Re w((x + ia)/s)."""
+    with mpmath.workdps(50):
+        a, s = mpmath.mpf(a), mpmath.mpf(s)
+        if s == 0:
+            return 2 * a
+
+        def v(x):
+            z = (x + 1j * a) / s
+            return mpmath.re(mpmath.exp(-z * z) * mpmath.erfc(-1j * z))
+
+        half = v(0) / 2
+        g = s * mpmath.sqrt(mpmath.log(2))
+        return 2 * mpmath.findroot(lambda x: v(x) - half, (max(a, g), a + g), solver="anderson")
+
+
+@pytest.mark.parametrize("s", [0.37, 1.0, 20.0])
+@pytest.mark.parametrize("ratio", [1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e3])
+def test_voigt_fwhm_matches_50_digit_crossings(ratio, s):
+    a = ratio * s
+    assert dop.voigt_fwhm(a, s) == pytest.approx(float(mp_voigt_fwhm(a, s)), rel=1e-13)
+
+
+def test_voigt_fwhm_of_a_lorentzian_is_twice_its_halfwidth():
+    assert dop.voigt_fwhm(2.5, 0.0) == float(mp_voigt_fwhm(2.5, 0.0)) == 5.0
