@@ -4,11 +4,17 @@ JOB_TABLE declares each job once: its runner, its help line and the
 top-level config keys it reads.  A config is a JSON object with an integer
 schema_version, an optional job and label, and exactly the keys its job
 reads, all required but kind and scan_family; any other key is an error,
-not a warning, so pinned experiment files stay reproducible.  CSV numbers
-use the shortest round-trip representation and leave a field that could
-not be measured empty; JSON summaries carry the unit convention, and
-non-finite or unmeasured values serialize as null.  Exit codes: 0 success,
-1 physics-regime failure, 2 usage error.
+not a warning, so pinned experiment files stay reproducible.  A JSON
+summary measures every line window one way: find its peak, from the
+predicted components where they can place it and by find_peak
+otherwise, then one fwhm and one integrated_intensity call from that
+peak.  CSV numbers use the shortest round-trip representation and leave
+a field that could not be measured empty; JSON summaries carry the unit
+convention, and non-finite or unmeasured values serialize as null.  Exit
+codes, each failure with one line on stderr: 0 success, 1 physics-regime
+failure (a closed form outside its regime, or arithmetic that leaves the
+float range), 2 usage error (a config that cannot be read or is invalid,
+an --out that cannot be created or written).
 """
 
 from __future__ import annotations
@@ -201,12 +207,16 @@ def load_config(path, job: str) -> JobConfig:
     """Read and validate one JSON config against the declared subcommand
     and the keys JOB_TABLE lists for it."""
     try:
-        raw = json.loads(Path(path).read_text(), parse_float=_finite_number,
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_finite_number,
                          parse_int=_finite_number, parse_constant=_finite_number)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply") from None
 
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -281,24 +291,25 @@ def _measure_component(density, window, line, components=()):
     """Peak/FWHM/area of `line` of `density` inside `window`.
 
     An averaged density is the density_sum of its DopplerComponents,
-    `components`, and line is one of them: its window is measured from them
-    by doppler.component_line, unless they cannot show that the peak found
-    is the window's maximum.  That window, and every window of the
-    spectrum, is measured numerically by fwhm and integrated_intensity.  A
-    component of zero height has no center: its center is None."""
+    `components`, and line is one of them: the window's peak is
+    doppler.component_peak's, unless they cannot show that it is the
+    window's maximum.  Every other window takes find_peak's.  From that
+    peak, fwhm measures the width and integrated_intensity the area, split
+    at the component's half-width bound or else at half the measured FWHM;
+    each is None where it fails.  A component of zero height has no center:
+    its center is None."""
     lo, hi = window
-    got = dop.component_line(components, line, lo, hi) if components else None
-    if got is not None:
-        x0, width, h, area = got
-    else:
-        try:
-            width, x0, h = dop.fwhm(density, lo, hi)
-        except dop.NoHalfMaximum as e:
-            width, x0, h = None, e.x_peak, e.height
-        try:
-            area = dop.integrated_intensity(density, (lo, hi))
-        except ValueError:
-            area = None
+    got = dop.component_peak(components, line, lo, hi) if components else None
+    x0, h = got[:2] if got else dop.find_peak(density, lo, hi)
+    try:
+        width = dop.fwhm(density, lo, hi, (x0, h))
+    except ValueError:
+        width = None
+    halfwidth = got[2] if got else 0.5 * (width or 0.0)
+    try:
+        area = dop.integrated_intensity(density, window, (x0, h), halfwidth)
+    except ValueError:
+        area = None
     return {"label": line.label, "center": x0 if h > 0 else None, "fwhm": width,
             "peak_height": h, "area": area}
 
@@ -506,15 +517,21 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base = Path(args.config).stem
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         return JOB_TABLE[cfg.job].run(cfg, out_dir, base, args.format)
     except (RegimeError, oracle.ConvergenceError) as e:
         print(f"physics-regime failure: {e}", file=sys.stderr)
         return 1
+    except ArithmeticError as e:  # finite inputs whose arithmetic leaves the float range
+        print(f"physics-regime failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        print(f"error: cannot write output to {out_dir}: {e}", file=sys.stderr)
         return 2
 
 

@@ -548,31 +548,16 @@ def find_peak(f, lo: float, hi: float):
     return x0, float(f(x0))
 
 
-class NoHalfMaximum(ValueError):
-    """fwhm found no half-maximum crossing; x_peak and height are the peak
-    it measured first, so that a caller need not search for it again."""
+def fwhm(f, lo: float, hi: float, peak) -> float:
+    """Full width at half maximum of a single-peaked f on [lo, hi] about its
+    peak = (x0, h), as find_peak or component_peak finds it.
 
-    def __init__(self, message, x_peak, height):
-        super().__init__(message)
-        self.x_peak, self.height = x_peak, height
-
-
-def fwhm(f, lo: float, hi: float):
-    """Full width at half maximum of a single-peaked f on [lo, hi].
-
-    Returns (width, x_peak, peak_height).  Half-crossings are bracketed by
-    outward march from the peak, which tests the window's edge once it
-    steps past it, and polished by Brent's root search to 1e-9 of the
-    window.  Raises NoHalfMaximum, carrying the peak, if a crossing is not
+    Half-crossings are bracketed by outward march from the peak, which tests
+    the window's edge once it steps past it, and polished by Brent's root
+    search to 1e-9 of the window.  Raises ValueError if a crossing is not
     found inside the window.
     """
-    x0, h = find_peak(f, lo, hi)
-    return _half_maximum_width(f, lo, hi, x0, h), x0, h
-
-
-def _half_maximum_width(f, lo: float, hi: float, x0: float, h: float) -> float:
-    """Distance between fwhm's half-maximum crossings about the peak (x0, h)
-    of f on [lo, hi].  Raises NoHalfMaximum if one is not inside the window."""
+    x0, h = peak
     half = 0.5 * h
     span = hi - lo
 
@@ -592,34 +577,30 @@ def _half_maximum_width(f, lo: float, hi: float, x0: float, h: float) -> float:
             step *= 1.6
             b = x0 + direction * (abs(a - x0) + step)
 
-    try:
-        xr = crossing(+1.0, hi)
-        xl = crossing(-1.0, lo)
-    except ValueError as e:
-        raise NoHalfMaximum(str(e), x0, h) from e
-    return xr - xl
+    return crossing(+1.0, hi) - crossing(-1.0, lo)
 
 
-def integrated_intensity(spectrum, window):
-    """Area of one resolved component under `spectrum` over window = (lo, hi).
+def integrated_intensity(spectrum, window, peak, halfwidth: float) -> float:
+    """Area of the resolved line at peak = (x0, h) under `spectrum` over
+    window = (lo, hi).
 
-    quad at relative 1e-10, split at the maximum of an 801-point grid.  The
-    window must isolate the component: the grid's edge values have to be
-    below a quarter of that maximum, otherwise the caller is directed to
-    integrate the full spectrum.
+    The window must isolate the line: h > 0 and both edge values at most
+    h/4, otherwise the caller is directed to integrate the full spectrum.
+    quad at relative 1e-10, split at x0, x0 +- halfwidth and
+    x0 +- 4*halfwidth, which place panel edges at the line's shoulders.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("window must satisfy hi > lo")
-    xs = np.linspace(lo, hi, 801)
-    ys = np.asarray(spectrum(xs), dtype=float)
-    i = int(np.argmax(ys))
-    if ys[i] <= 0 or max(ys[0], ys[-1]) > 0.25 * ys[i]:
+    x0, h = peak
+    q = 0.25 * h
+    if not (h > 0 and float(spectrum(lo)) <= q and float(spectrum(hi)) <= q):
         raise ValueError(
             "window does not isolate a resolved component; "
             "integrate the full spectrum instead"
         )
-    return quad(spectrum, lo, hi, points=(float(xs[i]),))
+    return quad(spectrum, lo, hi, points=(x0 - 4.0 * halfwidth, x0 - halfwidth, x0,
+                                          x0 + halfwidth, x0 + 4.0 * halfwidth))
 
 
 def voigt_fwhm(natural_halfwidth: float, doppler_scale: float) -> float:
@@ -640,22 +621,18 @@ def voigt_fwhm(natural_halfwidth: float, doppler_scale: float) -> float:
                              (a + g) * (1.0 + _BRACKET_MARGIN), xtol=0.0)
 
 
-def component_line(components, own, lo: float, hi: float):
-    """Peak, FWHM and area of the line of `own` in density_sum(components) on
-    [lo, hi], from the predicted components, where they show that the peak
-    found is the window's maximum; None where they do not.
+def component_peak(components, own, lo: float, hi: float):
+    """Peak of the line of `own` in density_sum(components) on [lo, hi], from
+    the predicted components, where they show that it is the window's
+    maximum; None where they do not.
 
-    Returns (x_peak, width, height, area).  Brent's bounded search looks for
-    the peak within r of own's center, clipped to the window, where
-    r = a + s*sqrt(ln 2) bounds the half width of own's Voigt.  Every Voigt
-    falls off from its center, so on each side of that bracket the sum is
-    at most the sum of each component's value (weight taken as >= 0) at
-    the point of the side nearest its center; both bounds must be below
-    the peak, which also puts the peak inside its bracket.  The width is
-    fwhm's crossings about that peak, None where fwhm would find none.  The
-    area is quad's, split at the peak, at +-r and at +-4r from it, and None
-    where integrated_intensity fails: a window edge above a quarter of the
-    peak, or a quadrature that does not converge.
+    Returns (x0, h, r).  Brent's bounded search looks for the peak within r
+    of own's center, clipped to the window, where r = a + s*sqrt(ln 2)
+    bounds the half width of own's Voigt.  Every Voigt falls off from its
+    center, so on each side of that bracket the sum is at most the sum of
+    each component's value (weight taken as >= 0) at the point of the side
+    nearest its center; both bounds must be below the peak, which also puts
+    the peak inside its bracket.
     """
     def f(x):
         return density_sum(components, x)
@@ -672,16 +649,4 @@ def component_line(components, own, lo: float, hi: float):
     sides = voigt_density(_column(components, "natural_halfwidth"), near - centers,
                           _column(components, "doppler_scale"))
     bound = (np.maximum(_column(components, "weight"), 0.0) * sides).sum(axis=0)
-    if not (bound < h).all():
-        return None
-    try:
-        width = _half_maximum_width(f, lo, hi, x0, h)
-    except NoHalfMaximum:
-        width = None
-    area = None
-    if max(f(lo), f(hi)) <= 0.25 * h:
-        try:
-            area = quad(f, lo, hi, points=(x0 - 4.0 * r, x0 - r, x0, x0 + r, x0 + 4.0 * r))
-        except ValueError:
-            pass
-    return x0, width, h, area
+    return (x0, h, r) if (bound < h).all() else None

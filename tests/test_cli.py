@@ -275,8 +275,9 @@ def test_zero_height_components_have_no_center(tmp_path):
 
 
 def test_failed_fwhm_keeps_its_peak(tmp_path, monkeypatch):
-    # G = 0: neither line has a half maximum, and fwhm hands the peak it
-    # measured to the summary, so each component searches its peak once
+    # G = 0: neither line has a half maximum, and the components cannot
+    # place a line of zero height, so each window searches its peak once,
+    # with find_peak, and fwhm and integrated_intensity measure from it
     cfg = doppler_config(drive={"G": 0.0, "Omega": 400.0, "k": 20.0})
     cfg_path = write_config(tmp_path, "dark.json", cfg)
     calls = []
@@ -583,6 +584,51 @@ def test_unreadable_and_invalid_configs(tmp_path):
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps(spectrum_config()).replace("30.0", literal))
         assert main(["spectrum", "--config", str(huge), "--out", str(tmp_path)]) == 2
+
+
+
+def test_undecodable_and_deeply_nested_configs_exit_2(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"schema_version": 1, "label": "\xff\xfe"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for path, message in ((binary, "is not UTF-8 text"), (deep, "nests too deeply")):
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["below-a-file", "over-a-directory"])
+def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys, where):
+    cfg_path = write_config(tmp_path, "line.json", spectrum_config())
+    if where == "below-a-file":  # --out cannot be created
+        (tmp_path / "plain").write_text("")
+        out = tmp_path / "plain" / "out"
+    else:  # a directory stands where the CSV goes, so it cannot be written
+        out = tmp_path / "out"
+        (out / "line.csv").mkdir(parents=True)
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output to ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("job,cfg", [
+    ("spectrum", spectrum_config(drive={"G": 8.0, "Omega": 1e200})),
+    ("spectrum", spectrum_config(scheme={"gamma_m": 1e-300, "gamma_n": 1e-300,
+                                         "gamma_l": 1e-300})),
+    ("doppler", doppler_config(drive={"G": 1.0, "Omega": 400.0, "k": 1e200})),
+    ("doublet", doppler_config(job="doublet", drive={"G": 1e200, "Omega": 5.0, "k": 4.0})),
+], ids=["spectrum-Omega-1e200", "spectrum-gammas-1e-300", "doppler-k-1e200",
+        "doublet-G-1e200"])
+def test_finite_extreme_values_are_a_regime_failure(tmp_path, capsys, job, cfg):
+    # each config is valid, but its arithmetic overflows or divides by zero
+    path = write_config(tmp_path, "extreme.json", cfg)
+    assert main([job, "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("physics-regime failure: ")
+    assert err.count("\n") == 1
 
 
 def test_process_kind_flows_through_spectrum(tmp_path):

@@ -350,14 +350,15 @@ def test_triplet_peak_height_ratio():
 
 
 def test_fwhm_known_shapes():
-    width, x0, h = fwhm(lambda x: voigt_density(1.0, np.asarray(x) - 3.0, 0.0),
-                        -40.0, 40.0)
+    f = lambda x: voigt_density(1.0, np.asarray(x) - 3.0, 0.0)
+    x0, h = find_peak(f, -40.0, 40.0)
+    width = fwhm(f, -40.0, 40.0, (x0, h))
     assert width == pytest.approx(2.0, rel=1e-6)
     assert x0 == pytest.approx(3.0, abs=1e-6)
     assert h == pytest.approx(1.0, rel=1e-9)
     s = 5.0
-    width, _, _ = fwhm(lambda x: (SQRT_PI / s) * np.exp(-((np.asarray(x) / s) ** 2)),
-                       -50.0, 50.0)
+    f = lambda x: (SQRT_PI / s) * np.exp(-((np.asarray(x) / s) ** 2))
+    width = fwhm(f, -50.0, 50.0, find_peak(f, -50.0, 50.0))
     assert width == pytest.approx(2.0 * math.sqrt(math.log(2.0)) * s, rel=1e-6)
 
 
@@ -370,14 +371,37 @@ def test_find_peak():
 
 def test_integrated_intensity():
     f = lambda x: voigt_density(1.0, np.asarray(x), 0.0)
-    area = integrated_intensity(f, (-500.0, 500.0))
+    area = integrated_intensity(f, (-500.0, 500.0), find_peak(f, -500.0, 500.0), 1.0)
     assert area == pytest.approx(math.pi - 2 * math.atan(1.0 / 500.0), rel=1e-7)
     # window pinned off the peak so the edge dominates: must refuse
     with pytest.raises(ValueError):
-        integrated_intensity(f, (-0.4, 0.4))
+        integrated_intensity(f, (-0.4, 0.4), find_peak(f, -0.4, 0.4), 1.0)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_integrated_intensity_isolation_boundary(side):
+    # a window is measured only if both edge values are at most a quarter
+    # of the peak; 1/(1 + x^2) falls to a quarter of its peak at sqrt(3)
+    f = lambda x: 1.0 / (1.0 + np.asarray(x) ** 2)
+    peak = (0.0, 1.0)
+    above, below = math.sqrt(3.0) * (1.0 - 1e-12), math.sqrt(3.0) * (1.0 + 1e-12)
+    assert f(above) > 0.25 >= f(below)
+
+    def window(edge):  # one edge at +-edge, the other far out
+        return (-edge, 10.0) if side == 0 else (-10.0, edge)
+
+    with pytest.raises(ValueError, match="does not isolate"):
+        integrated_intensity(f, window(above), peak, 1.0)
+    area = integrated_intensity(f, window(below), peak, 1.0)
+    assert area == pytest.approx(math.atan(below) + math.atan(10.0), rel=1e-10)
+
+
+def test_integrated_intensity_refuses_a_line_of_zero_height():
+    with pytest.raises(ValueError, match="does not isolate"):
+        integrated_intensity(lambda x: 0.0 * np.asarray(x), (-1.0, 1.0), (0.0, 0.0), 0.0)
 
 
 def test_fwhm_requires_crossings_inside_window():
     f = lambda x: voigt_density(1.0, np.asarray(x), 0.0)
     with pytest.raises(ValueError):
-        fwhm(f, -0.5, 0.5)
+        fwhm(f, -0.5, 0.5, find_peak(f, -0.5, 0.5))

@@ -6,7 +6,7 @@ return what scipy's minimize_scalar and brentq return, bit for bit.  quad
 is the package's own Gauss-Legendre rule: it must agree with a
 tight-tolerance scipy quad split at dense breakpoints, and give up, in
 bounded memory, on an integrand that never converges.  The measures from
-the predicted components, component_line and voigt_fwhm, must agree with
+the predicted components, component_peak and voigt_fwhm, must agree with
 the generic measures and with 50-digit half-maximum crossings.
 """
 
@@ -107,24 +107,24 @@ def test_fwhm_matches_scipy_bit_for_bit(comps, margin, narrow):
     lo, hi = window(comps, margin)
     if narrow:  # a window that often cuts a half-maximum crossing off
         lo, hi = comps[0].center - 0.01 * margin[0], comps[0].center + 0.01 * margin[1]
+    peak = find_peak(f, lo, hi)
     try:
         expect = reference_fwhm(f, lo, hi)
     except ValueError:
-        with pytest.raises(dop.NoHalfMaximum) as e:
-            fwhm(f, lo, hi)
-        # the error carries the peak, which find_peak finds again
-        assert (e.value.x_peak, e.value.height) == reference_find_peak(f, lo, hi)
+        with pytest.raises(ValueError):
+            fwhm(f, lo, hi, peak)
         return
-    assert fwhm(f, lo, hi) == expect
+    assert (fwhm(f, lo, hi, peak), *peak) == expect
 
 
 def test_fwhm_tests_the_window_edge_its_march_steps_past():
     # the march from the peak at 0 steps past 1.05 before it tests a point
     # below the half maximum; the edge, at 0.476 of the peak, brackets the
     # crossing at 1
-    width, x0, h = fwhm(lambda x: 1.0 / (1.0 + x * x), -50.0, 1.05)
-    assert (x0, h) == pytest.approx((0.0, 1.0), abs=1e-9)
-    assert width == pytest.approx(2.0, rel=1e-8)
+    f = lambda x: 1.0 / (1.0 + x * x)
+    peak = find_peak(f, -50.0, 1.05)
+    assert peak == pytest.approx((0.0, 1.0), abs=1e-9)
+    assert fwhm(f, -50.0, 1.05, peak) == pytest.approx(2.0, rel=1e-8)
 
 
 def tight_reference(f, lo, hi, centers):
@@ -157,16 +157,15 @@ def test_quad_matches_a_tight_scipy_reference(comps, margin):
 @PROPERTY
 @given(comps=pairs, reach=st.floats(min_value=2.0, max_value=60.0))
 def test_integrated_intensity_matches_a_tight_scipy_reference(comps, reach):
-    # the production path: quad split only at the 801-point grid maximum,
-    # which leaves the peak inside a panel, off its edges
+    # the production path of a window without components: quad split at
+    # find_peak's peak and at half the measured FWHM and twice the FWHM
+    # from it, or at the peak alone where the width is not measured
     f = lambda x: density_sum(comps, x)
     c = comps[0]
     half = reach * (c.natural_halfwidth + c.doppler_scale)
     lo, hi = c.center - half, c.center + 0.7 * half
-    try:
-        got = dop.integrated_intensity(f, (lo, hi))
-    except ValueError:
-        assume(False)  # the window does not isolate a component
+    got = cli._measure_component(f, (lo, hi), cli._Line("c", c.center))["area"]
+    assume(got is not None)  # the window does not isolate a component
     centers = [c.center for c in comps]
     assert got == pytest.approx(tight_reference(f, lo, hi, centers), rel=1e-10, abs=0.0)
 
@@ -222,7 +221,7 @@ line_sets = st.tuples(st.floats(min_value=0.05, max_value=20.0),
 # its components cannot place the window's maximum, and the window takes
 # the generic measures
 @example(case=(1.0, [(0.0, 1.0, 0.0, 10.0), (3.0, 1.0, 0.0, 0.05)], 4.0, 4.0))
-def test_component_line_matches_the_generic_measures(case):
+def test_component_peak_matches_the_generic_measures(case):
     w0, lines, left, right = case
     comps = [component(w0 * c, w0 * a, w0 * s, weight) for c, a, s, weight in lines]
     comps.sort(key=lambda c: c.center)
@@ -236,15 +235,10 @@ def test_component_line_matches_the_generic_measures(case):
 
     for own, window in zip(comps, zip(bounds, bounds[1:])):
         generic = cli._measure_component(density, window, own)
-        line = dop.component_line(comps, own, *window)
-        if line is None:
-            assert cli._measure_component(density, window, own, comps) == generic
-            continue
-        x0, width, h, area = line
-        # the generic isolation check compares the edges with its 801-point
-        # grid's maximum, about 0.4% below the peak here
-        assume(not 0.245 <= max(density(w) for w in window) / h <= 0.255)
         got = cli._measure_component(density, window, own, comps)
+        if dop.component_peak(comps, own, *window) is None:
+            assert got == generic
+            continue
         assert [got[k] is None for k in got] == [generic[k] is None for k in got]
         r = own.natural_halfwidth + math.sqrt(math.log(2.0)) * own.doppler_scale
         assert got["center"] == pytest.approx(generic["center"], rel=0.0, abs=1e-6 * r)
