@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dressed import dressed_exponents, memory_factors
-from .faddeeva import blockwise, w_block, w_scalar
+from .faddeeva import _BLOCK, blockwise, w_block, w_scalar
 from .model import (
     DriveField,
     LevelScheme,
@@ -130,12 +130,17 @@ def density_sum(components, Omega_mu):
     """Sum of the components' densities at Omega_mu, added left to right.
 
     An array Omega_mu takes one voigt_density call for all components, one
-    row each, with the operations of the per-component float path.
+    row each, with the operations of the per-component float path.  An array
+    of more than _BLOCK points takes that call, the weights and the sum on
+    each block of _BLOCK points in turn, so its (k, n) rows are never formed.
     """
     if isinstance(Omega_mu, float):
         terms = [c.density(Omega_mu) for c in components]
     else:
         x = np.asarray(Omega_mu, dtype=float)
+        if x.size > _BLOCK:
+            block = lambda v: density_sum(components, v)  # noqa: E731
+            return blockwise(block, block, np.empty(x.shape), x)
         rows = voigt_density(_column(components, "natural_halfwidth", x.ndim),
                              x - _column(components, "center", x.ndim),
                              _column(components, "doppler_scale", x.ndim))

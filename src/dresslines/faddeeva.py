@@ -194,7 +194,10 @@ def blockwise(scalar, block, out, *args):
     Under _SCALAR_MAX points each element is scalar(*floats).  Otherwise
     block(*arrays) runs on 1-D blocks of at most _BLOCK points: whole rows
     of the last axis while they fit, else pieces of one row.  The two
-    functions must agree elementwise.
+    functions must agree elementwise.  wofz and voigt_density fill every
+    array through it; density_sum, w_mu_exact and w_mu_weak fill arrays of
+    more than _BLOCK points, so that none of their temporaries spans the
+    whole array.
     """
     shape = out.shape
     if out.size < _SCALAR_MAX:

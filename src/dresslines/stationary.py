@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .faddeeva import _BLOCK, blockwise
 from .model import DriveField, LevelScheme, RegimeError
 
 
@@ -24,16 +25,24 @@ from .model import DriveField, LevelScheme, RegimeError
 class WeakFieldBreakdown:
     """Term-by-term decomposition of the weak-drive spectrum.
 
-    stepwise: complex contribution of the cascade line centered at
-        Omega_mu = 0 (half-width gamma_l + gamma_m), interference included.
-    raman: complex contribution of the correlated two-photon line centered
-        at Omega_mu = Omega (half-width gamma_l + gamma_n), interference
+    The density is the real part of two complex residues over their poles,
+
+        Re(stepwise/(gamma_l + gamma_m + i*Omega_mu)
+           + raman/(gamma_l + gamma_n + i*(Omega_mu - Omega))),
+
+    and the fields hold those residues, not the terms on a grid.
+
+    stepwise: residue of the cascade line centered at Omega_mu = 0
+        (half-width gamma_l + gamma_m), interference included.
+    raman: residue of the correlated two-photon line centered at
+        Omega_mu = Omega (half-width gamma_l + gamma_n), interference
         included.
-    stepwise_interference, raman_interference: the interference parts
-        contained in the two terms; subtracting them leaves the
-        no-interference doublet.
+    stepwise_interference, raman_interference: the interference parts of the
+        two residues; subtracting them leaves pref/gamma_m and pref/gamma_n,
+        the no-interference doublet, with pref = |G*G_mu|**2/|Omega -
+        i*(gamma_n - gamma_m)|**2.
     coupling_ratio: G / |Omega - i*(gamma_n - gamma_m)|, the small parameter
-        of the expansion.  The density is Re(stepwise + raman).
+        of the expansion.
     """
 
     stepwise: complex
@@ -62,10 +71,14 @@ def w_mu_exact(scheme, drive, probe, Omega_mu):
 
     solved in closed form and evaluated in real arithmetic.  The 2x2
     determinant has its roots at real part -gamma_l - Re(alpha_j) < 0, so it
-    never vanishes for a real Omega_mu and no case is special.  A float
-    Omega_mu (np.float64 included) runs the same expression in Python floats
-    and returns a Python float, bit-identical to the array path, since every
-    step is one correctly rounded float64 operation on either path.
+    never vanishes for a real Omega_mu and no case is special.  Where its
+    squared modulus overflows (|Omega_mu| beyond about 1e77 in the rates'
+    unit), the same ratio is taken with its two factors scaled to unit size.
+    A float Omega_mu (np.float64 included) runs the same expression in
+    Python floats and returns a Python float, bit-identical to the array
+    path, since every step is one correctly rounded float64 operation on
+    either path.  An array of more than faddeeva._BLOCK points is filled
+    block by block, so its temporaries stay a few blocks in size.
     """
     gm, gn, gl = scheme.gamma_m, scheme.gamma_n, scheme.gamma_l
     G2 = drive.G * drive.G
@@ -78,28 +91,67 @@ def w_mu_exact(scheme, drive, probe, Omega_mu):
     c = G2 * gm / (D * s2)     # i*G*P_nm = c*(Gamma - i*Omega)
     r1 = -gm - gl
     r2 = -gn - gl
-    nr = p * r2 - c * Gamma
+    k = (Om, G2, Gamma, r1, r2, p, c, p * r2 - c * Gamma, -2.0 * abs(probe.G_mu) ** 2)
     if isinstance(Omega_mu, float):
-        x = float(Omega_mu)
-    else:
-        x = np.asarray(Omega_mu, dtype=float)
-    y = x - Om
+        return _exact(float(Omega_mu), k)
+    x = np.asarray(Omega_mu, dtype=float)
+    if not x.ndim:
+        return _exact(float(x), k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if x.size <= _BLOCK:
+            return _exact(x, k)
+        block = lambda v: _exact(v, k)  # noqa: E731
+        return blockwise(block, block, np.empty(x.shape), x)
+
+
+def _exact(x, k):
+    """w_mu_exact at a float or a 1-D array x, from its constants k."""
+    Om, G2, _, r1, r2, p, c, nr, scale = k
     # det = (r1 + i*x)(r2 + i*y) + G^2 = dr + i*di;
     # numerator (r2 + i*y)*p - c*(Gamma - i*Omega) = nr + i*ni.
+    y = x - Om
     dr = r1 * r2 - x * y + G2
     di = r1 * y + r2 * x
     ni = p * y + c * Om
-    w = -2.0 * abs(probe.G_mu) ** 2 * (nr * dr + ni * di) / (dr * dr + di * di)
-    return w if isinstance(w, np.ndarray) else float(w)
+    den = dr * dr + di * di
+    out = scale * (nr * dr + ni * di) / den
+    if isinstance(x, float):
+        return out if den < math.inf else _exact_far(x, k)
+    big = np.isinf(den)
+    if big.any():
+        out[big] = _exact_far(x[big], k)
+    return out
+
+
+def _exact_far(x, k):
+    """_exact where dr*dr + di*di overflows: the same ratio with r1 + i*x
+    scaled by s1 and r2 + i*y by s2, so that no factor exceeds 1 in size,
+    N/det = (s2*N)/(s1*s2*det)*s1."""
+    Om, G2, Gamma, r1, r2, p, c, _, scale = k
+    y = x - Om
+    s1 = 1.0 / (abs(x) - r1)
+    s2 = 1.0 / (abs(y) - r2)
+    xs, ys, r1s, r2s = x * s1, y * s2, r1 * s1, r2 * s2
+    dr = r1s * r2s - xs * ys + G2 * s1 * s2
+    di = r1s * ys + r2s * xs
+    num = (p * r2s - c * Gamma * s2) * dr + (p * ys + c * Om * s2) * di
+    return scale * num / (dr * dr + di * di) * s1
 
 
 def w_mu_weak(scheme, drive, probe, Omega_mu):
     """Weak-drive spectrum, valid for G << |Omega - i*(gamma_n - gamma_m)|.
 
-    Returns (density, WeakFieldBreakdown).  The formula is evaluated
-    regardless of regime; callers judge validity through the breakdown's
-    coupling_ratio.  Raises RegimeError only where the expression itself is
-    singular (gamma_m = gamma_n and Omega = 0).
+    Returns (density, WeakFieldBreakdown).  The density is the real part of
+    the breakdown's two residues over their poles, in real arithmetic:
+    Re(S/(a + i*x)) = (Re S*a + Im S*x)/(a**2 + x**2).  Beyond |x| = 1.3e154,
+    where x**2 overflows, a term reads 0; its 1/x tail cancels the other's,
+    as Im S = -Im R, so the density there is below
+    1e-308*|S|*(2*gamma_l + Gamma + |Omega|) anyway.  A float Omega_mu returns a Python float, bit-identical
+    to the array path; an array of more than faddeeva._BLOCK points is
+    filled block by block.  The formula is evaluated regardless of regime;
+    callers judge validity through the breakdown's coupling_ratio.  Raises
+    RegimeError only where the expression itself is singular (gamma_m =
+    gamma_n and Omega = 0).
     """
     gm, gn, gl = scheme.gamma_m, scheme.gamma_n, scheme.gamma_l
     Om = drive.Omega
@@ -113,22 +165,33 @@ def w_mu_weak(scheme, drive, probe, Omega_mu):
             "use the exact spectrum"
         )
 
-    Omu = np.asarray(Omega_mu, dtype=float)
     pref = abs(drive.G * probe.G_mu) ** 2 / denom2
-
-    d_step = gl + gm + 1j * Omu
-    d_raman = gl + gn + 1j * (Omu - Om)
-    step_intf = pref * (-2.0 / (Gamma + 1j * Om)) / d_step
-    raman_intf = pref * (-2.0 / (Gamma - 1j * Om)) / d_raman
-    stepwise = pref / gm / d_step + step_intf
-    raman = pref / gn / d_raman + raman_intf
-
-    w = (stepwise + raman).real
+    step_intf = pref * (-2.0 / (Gamma + 1j * Om))
+    raman_intf = pref * (-2.0 / (Gamma - 1j * Om))
     breakdown = WeakFieldBreakdown(
-        stepwise=stepwise if stepwise.shape else complex(stepwise),
-        raman=raman if raman.shape else complex(raman),
-        stepwise_interference=step_intf if step_intf.shape else complex(step_intf),
-        raman_interference=raman_intf if raman_intf.shape else complex(raman_intf),
+        stepwise=pref / gm + step_intf,
+        raman=pref / gn + raman_intf,
+        stepwise_interference=step_intf,
+        raman_interference=raman_intf,
         coupling_ratio=weak_field_ratio(scheme, drive),
     )
-    return (w if w.shape else float(w)), breakdown
+    k = (Om, gl + gm, gl + gn, breakdown.stepwise, breakdown.raman)
+    if isinstance(Omega_mu, float):
+        return _weak(float(Omega_mu), k), breakdown
+    x = np.asarray(Omega_mu, dtype=float)
+    if not x.ndim:
+        return _weak(float(x), k), breakdown
+    with np.errstate(over="ignore", invalid="ignore"):
+        if x.size <= _BLOCK:
+            return _weak(x, k), breakdown
+        block = lambda v: _weak(v, k)  # noqa: E731
+        return blockwise(block, block, np.empty(x.shape), x), breakdown
+
+
+def _weak(x, k):
+    """w_mu_weak's density at a float or a 1-D array x, from its constants k."""
+    Om, a1, a2, S, R = k
+    y = x - Om
+    i1 = 1.0 / (a1 * a1 + x * x)
+    i2 = 1.0 / (a2 * a2 + y * y)
+    return (S.real * a1 * i1 + S.imag * (x * i1)) + (R.real * a2 * i2 + R.imag * (y * i2))

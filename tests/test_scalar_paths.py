@@ -1,18 +1,19 @@
 """Scalar detunings take a Python-float path that must match the array path.
 
 The measurement layer's searches (find_peak, fwhm) call the densities one
-detuning at a time, so voigt_density, DopplerComponent.density
-and w_mu_exact evaluate a float argument in Python floats (and one complex
-wofz argument).  These properties require the result to be a Python float equal,
-bit for bit, to the same detuning evaluated through a one-element array.
+detuning at a time, so voigt_density, DopplerComponent.density,
+w_mu_exact and w_mu_weak evaluate a float argument in Python floats (and one
+complex wofz argument).  These properties require the result to be a Python
+float equal, bit for bit, to the same detuning evaluated through a
+one-element array.
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dresslines import DriveField, LevelScheme, ProbeField, w_mu_exact
+from dresslines import DriveField, LevelScheme, ProbeField, w_mu_exact, w_mu_weak
 from dresslines.doppler import DopplerComponent, voigt_density
 from dresslines.dressed import dressed_exponents
 
@@ -58,6 +59,16 @@ def test_w_mu_exact_scalar_path_is_bit_identical(gm, gn, gl, G, Omega, x):
     drive = DriveField(G=G, Omega=Omega)
     probe = ProbeField(G_mu=0.1)
     scalar_equals_array(lambda v: w_mu_exact(scheme, drive, probe, v), x)
+
+
+@PROPERTY
+@given(gm=magnitude, gn=magnitude, gl=magnitude, G=magnitude, Omega=signed, x=signed)
+def test_w_mu_weak_scalar_path_is_bit_identical(gm, gn, gl, G, Omega, x):
+    assume(gm != gn or Omega != 0.0)  # the form's one singular point
+    scheme = LevelScheme(gamma_m=gm, gamma_n=gn, gamma_l=gl)
+    drive = DriveField(G=G, Omega=Omega)
+    probe = ProbeField(G_mu=0.1)
+    scalar_equals_array(lambda v: w_mu_weak(scheme, drive, probe, v)[0], x)
 
 
 def test_confluent_pair_keeps_its_branch_on_the_scalar_path():

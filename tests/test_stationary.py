@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -103,6 +104,42 @@ def test_confluent_pair_at_the_probe_pole():
         assert w[0] == pytest.approx(3 / 128, rel=1e-14)
 
 
+def lyapunov_density_mp(gm, gn, gl, G, Omega, G_mu, x, dps=400):
+    """2*gamma_l*P_ll from the 3x3 Gramian M P + P M^H = -e_n e_n^H, in mpmath.
+
+    mpmath's LU calls a pivot below eps times the matrix norm singular, so
+    the precision must span Omega_mu's exponent.
+    """
+    with mpmath.workdps(dps):
+        m = [[mpmath.mpc(-gm), mpmath.mpc(0, G), 0],
+             [mpmath.mpc(0, G), mpmath.mpc(-gn, -Omega), 0],
+             [mpmath.mpc(0, G_mu), 0, mpmath.mpc(-gl, -x)]]
+        a, b = mpmath.matrix(9, 9), mpmath.matrix(9, 1)
+        for i in range(3):
+            for j in range(3):
+                for k in range(3):
+                    a[3 * i + j, 3 * k + j] += m[i][k]
+                    a[3 * i + j, 3 * i + k] += mpmath.conj(m[j][k])
+        b[4] = -1
+        return float(2 * gl * mpmath.re(mpmath.lu_solve(a, b)[8]))
+
+
+@pytest.mark.parametrize("x", [3.0, 1e78, -1e78, 1e155, 1e300])
+def test_far_detunings_against_mpmath(x):
+    # dr*dr + di*di overflows from |Omega_mu| ~ 1e77 on; the density there is
+    # about 0.103/Omega_mu**2, subnormal at 1e155 and below the float range
+    # at 1e300
+    scheme = LevelScheme(gamma_m=1.0, gamma_n=2.0, gamma_l=0.5)
+    drive = DriveField(G=3.0, Omega=4.0)
+    probe = ProbeField(G_mu=1.0)
+    ref = lyapunov_density_mp(1.0, 2.0, 0.5, 3.0, 4.0, 1.0, x)
+    for got in (w_mu_exact(scheme, drive, probe, x),
+                w_mu_exact(scheme, drive, probe, np.array([0.0, x]))[1]):
+        assert math.isclose(got, ref, rel_tol=1e-13, abs_tol=2e-323), (got, ref)
+    if abs(x) == 1e78:
+        assert ref == pytest.approx(1.0305343511450373e-157, rel=1e-13)
+
+
 def test_weak_field_form_and_breakdown():
     scheme = LevelScheme(gamma_m=1.0, gamma_n=2.0, gamma_l=0.5)
     Om = 5.0
@@ -113,17 +150,22 @@ def test_weak_field_form_and_breakdown():
     exact = np.asarray(w_mu_exact(scheme, drive, PROBE, grid))
     assert np.max(np.abs(w - exact)) / np.max(np.abs(exact)) < 1e-4
     assert br.coupling_ratio == pytest.approx(1e-3)
-    # the two complex terms assemble the density
-    assert np.allclose((br.stepwise + br.raman).real, w, rtol=1e-14)
-    # the interference parts are contained in the two terms: removing them
-    # leaves the no-interference doublet, Lorentzians of weight 1/gamma_m
-    # and 1/gamma_n
+    # the density is the real part of the two residues over their poles
     gm, gn, gl = scheme.gamma_m, scheme.gamma_n, scheme.gamma_l
+    d_step = gl + gm + 1j * grid
+    d_raman = gl + gn + 1j * (grid - Om)
+    np.testing.assert_allclose((br.stepwise / d_step + br.raman / d_raman).real, w,
+                               rtol=1e-14, atol=0)
+    # the interference parts are contained in the two residues: removing
+    # them leaves the no-interference doublet, Lorentzians of weight
+    # 1/gamma_m and 1/gamma_n
     pref = drive.G**2 * PROBE.G_mu**2 / ratio_scale**2
+    assert br.stepwise - br.stepwise_interference == pytest.approx(pref / gm, rel=1e-15)
+    assert br.raman - br.raman_interference == pytest.approx(pref / gn, rel=1e-15)
     doublet = pref * ((gl + gm) / gm / ((gl + gm) ** 2 + grid**2)
                       + (gl + gn) / gn / ((gl + gn) ** 2 + (grid - Om) ** 2))
-    bare = (br.stepwise - br.stepwise_interference
-            + br.raman - br.raman_interference).real
+    bare = ((br.stepwise - br.stepwise_interference) / d_step
+            + (br.raman - br.raman_interference) / d_raman).real
     np.testing.assert_allclose(bare, doublet, rtol=1e-12, atol=0)
     # and they are no rounding-level correction
     shift = np.max(np.abs(w - bare)) / np.max(np.abs(w))
