@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import add
 
 import numpy as np
 
 from .dressed import dressed_exponents, memory_factors
-from .faddeeva import _BLOCK, blockwise, w_block, w_scalar
+from .faddeeva import elementwise, w_block, w_scalar
 from .model import (
     DriveField,
     LevelScheme,
@@ -73,9 +75,7 @@ def voigt_density(natural_halfwidth, detuning, doppler_scale):
         raise ValueError("natural_halfwidth must be > 0")
     if (s < 0).any():
         raise ValueError("doppler_scale must be >= 0")
-    x = np.asarray(detuning, dtype=float)
-    out = blockwise(_voigt, _voigt_block, np.empty(np.broadcast(a, x, s).shape), a, x, s)
-    return out if out.ndim else float(out)
+    return elementwise(_voigt, _voigt_block, a, detuning, s)
 
 
 def _voigt(a: float, x: float, s: float) -> float:
@@ -113,42 +113,40 @@ class DopplerComponent:
     memory: float
 
     def density(self, Omega_mu):
-        if isinstance(Omega_mu, float):
-            x = float(Omega_mu) - self.center
-        else:
-            x = np.asarray(Omega_mu, dtype=float) - self.center
-        return self.weight * voigt_density(self.natural_halfwidth, x, self.doppler_scale)
+        return density_sum([self], Omega_mu)
 
 
-def _column(components, field, ndim=1):
-    """One field of every component, a row each, against ndim axes of detuning."""
-    return np.reshape([getattr(c, field) for c in components],
-                      (len(components),) + (1,) * ndim)
+def _column(components, field):
+    """One field of every component as a (k, 1) column, a row each."""
+    return np.reshape([getattr(c, field) for c in components], (len(components), 1))
 
 
 def density_sum(components, Omega_mu):
     """Sum of the components' densities at Omega_mu, added left to right.
 
-    An array Omega_mu takes one voigt_density call for all components, one
-    row each, with the operations of the per-component float path.  An array
-    of more than _BLOCK points takes that call, the weights and the sum on
-    each block of _BLOCK points in turn, so its (k, n) rows are never formed.
+    A float Omega_mu (np.float64 included) returns a Python float.  An
+    array goes through faddeeva.elementwise, whose blocks take one
+    voigt_density call for all components, a (k, block) row each, with the
+    operations of the float sum.
     """
     if isinstance(Omega_mu, float):
-        terms = [c.density(Omega_mu) for c in components]
-    else:
-        x = np.asarray(Omega_mu, dtype=float)
-        if x.size > _BLOCK:
-            block = lambda v: density_sum(components, v)  # noqa: E731
-            return blockwise(block, block, np.empty(x.shape), x)
-        rows = voigt_density(_column(components, "natural_halfwidth", x.ndim),
-                             x - _column(components, "center", x.ndim),
-                             _column(components, "doppler_scale", x.ndim))
-        terms = [c.weight * row for c, row in zip(components, rows)]
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out if isinstance(out, (float, np.ndarray)) else float(out)  # 0-d: a float
+        return _float_sum(components, float(Omega_mu))
+    return elementwise(partial(_float_sum, components), partial(_block_sum, components),
+                       Omega_mu)
+
+
+def _float_sum(components, x):
+    """density_sum at a Python float x."""
+    return reduce(add, [c.weight * voigt_density(c.natural_halfwidth, x - c.center,
+                                                 c.doppler_scale) for c in components])
+
+
+def _block_sum(components, x):
+    """density_sum at a 1-D array x, with the operations of _float_sum."""
+    rows = voigt_density(_column(components, "natural_halfwidth"),
+                         x - _column(components, "center"),
+                         _column(components, "doppler_scale"))
+    return reduce(add, [c.weight * row for c, row in zip(components, rows)])
 
 
 def weak_doublet_components(

@@ -7,7 +7,8 @@ on it.  Three forms, each in real arithmetic on (x, y):
   Anal. 31 (1994) 1497), w = (2p(Z)/(L - iz) + 1/sqrt(pi))/(L - iz) with
   Z = (L + iz)/(L - iz), L = sqrt(N/sqrt(2)) and p of degree N - 1;
 * |z| >= 8: 13 terms of the asymptotic series
-  i/(sqrt(pi) z) * sum_k (2k-1)!!/(2z**2)**k;
+  i/(sqrt(pi) z) * sum_k (2k-1)!!/(2z**2)**k; on the real axis, where the
+  series gives Re w = 0, Re w = exp(-x**2);
 * |z| < 8 and y < _Y_SMALL: the Taylor series in y about the real axis,
   through y**4.  On the axis Re w(x) = exp(-x**2) exactly, Im w(x) comes
   from the rational form, and the derivatives follow from
@@ -22,9 +23,9 @@ numpy's vectorized complex multiply fuses its products where Python's does
 not.  The one transcendental, exp(-x**2), is numpy's on both paths, as
 math.exp and numpy.exp differ in the last bit on some arguments.
 
-On the real axis beyond |x| = 8 the series gives Re w = 0 where the true
-value is exp(-x**2) < 2e-28; off the axis, from y = 1e-6 up, it is exact
-to 1e-13.
+Off the axis, from y = 1e-6 up, Re w is exact to 1e-13; Im z < 0 is
+rejected.  elementwise is the package's one driver from a kernel to an
+array: every closed form passes it a float and a 1-D block function.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ _WEIDEMAN = _series(_P2)
 _SERIES = _series(_ASYMPTOTIC)
 _R2_FAR = 64.0    # |z|**2 from which the asymptotic series is used
 _Y_SMALL = 1e-3   # below this y (and |z| < 8) the Taylor series is used
-# Arrays are evaluated in blocks of at most _BLOCK points, which keeps the
-# kernel's two dozen temporaries in cache, and element by element below
-# _SCALAR_MAX points, where numpy's per-call cost exceeds the arithmetic.
+# elementwise evaluates arrays in blocks of at most _BLOCK points, which
+# keeps a kernel's two dozen temporaries in cache, and element by element
+# below _SCALAR_MAX points, where numpy's per-call cost exceeds the arithmetic.
 _BLOCK = 8192
 _SCALAR_MAX = 64
 
@@ -127,12 +128,31 @@ def _rational(x, y):
 
 
 def _asymptotic(x, y):
-    """The asymptotic series, for |z| >= 8."""
+    """The asymptotic series, for |z| >= 8, with 1/z from _scaled_inverse
+    where |z|**2 overflows and Re w = exp(-x**2), numpy's, on the axis."""
     d = x * x + y * y
     gr = x / d           # 1/z = gr + i*gi
     gi = -y / d
+    if isinstance(d, float):
+        gr, gi = (gr, gi) if d < math.inf else _scaled_inverse(x, y)
+    elif np.isinf(d).any():
+        gr, gi = np.where(np.isinf(d), _scaled_inverse(x, y), (gr, gi))
     sr, si = _poly(_SERIES, gr * gr - gi * gi, 2.0 * gr * gi)
-    return -(gr * si + gi * sr) * _INV_SQRT_PI, (gr * sr - gi * si) * _INV_SQRT_PI
+    re = -(gr * si + gi * sr) * _INV_SQRT_PI
+    if isinstance(y, float):
+        re = re if y else float(np.exp(-(x * x)))
+    elif not y.all():
+        re = np.where(y == 0.0, np.exp(-(x * x)), re)
+    return re, (gr * sr - gi * si) * _INV_SQRT_PI
+
+
+def _scaled_inverse(x, y):
+    """1/z where |z|**2 overflows, from z/m, m = |x| + |y|, of modulus near
+    1: 1/z = conj(z/m)/(|z/m|**2*m)."""
+    m = abs(x) + abs(y)
+    xs, ys = x / m, y / m
+    d = (xs * xs + ys * ys) * m
+    return xs / d, -ys / d
 
 
 def _near_axis(x, y):
@@ -188,47 +208,37 @@ def w_block(x, y):
     return re, im
 
 
-def blockwise(scalar, block, out, *args):
-    """Fill out, of the arguments' broadcast shape, elementwise; return it.
+def elementwise(scalar, block, *args):
+    """scalar(*floats) or block(*arrays) at every element of the arguments,
+    broadcast against each other as views.
 
-    Under _SCALAR_MAX points each element is scalar(*floats).  Otherwise
-    block(*arrays) runs on 1-D blocks of at most _BLOCK points: whole rows
-    of the last axis while they fit, else pieces of one row.  The two
-    functions must agree elementwise.  wofz and voigt_density fill every
-    array through it; density_sum, w_mu_exact and w_mu_weak fill arrays of
-    more than _BLOCK points, so that none of their temporaries spans the
-    whole array.
+    A 0-d broadcast returns scalar's Python number itself, and under
+    _SCALAR_MAX points each element is a scalar call.  Otherwise block runs
+    on 1-D blocks of at most _BLOCK points, whole rows of the last axis
+    while they fit, else pieces of one row, with overflow and invalid
+    operations silenced as in Python floats, and fills an output of its
+    dtype.  The two functions must agree elementwise.
     """
-    shape = out.shape
-    if out.size < _SCALAR_MAX:
-        flat = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
-        out[...] = np.reshape([scalar(*v) for v in zip(*flat)], shape)
-        return out
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    shape = args[0].shape
+    if not shape:
+        return scalar(*map(float, args))
+    if args[0].size < _SCALAR_MAX:
+        results = [scalar(*v) for v in zip(*(a.ravel().tolist() for a in args))]
+        return np.reshape(results or block(*(a.ravel() for a in args)), shape)  # empty: block's dtype
     n = shape[-1]
-    dest = out.reshape(-1, n)
-    rows = [_rows(np.asarray(a), shape) for a in args]
+    rows = [a.reshape(-1, n) for a in args]
     step_r, step_c = max(1, _BLOCK // n), min(n, _BLOCK)
-    for r in range(0, dest.shape[0], step_r):
-        for c in range(0, n, step_c):
-            part = dest[r:r + step_r, c:c + step_c]
-            blocks = (np.repeat(a[r:r + step_r, 0], part.shape[1]) if a.shape[1] == 1
-                      else a[r:r + step_r, c:c + step_c].ravel() for a in rows)
-            part[...] = block(*blocks).reshape(part.shape)
-    return out
-
-
-def _rows(a, shape):
-    """a broadcast against shape, as rows of its last axis: (rows, n), or
-    (rows, 1) where a is constant along that axis."""
-    n = shape[-1]
-    count = math.prod(shape[:-1])
-    if a.shape == shape:
-        return a.reshape(count, n)
-    if a.ndim == 0:
-        return np.full((count, 1), a)
-    if a.shape[-1] == 1 and a.size == count:
-        return a.reshape(count, 1)
-    return np.broadcast_to(a, shape).reshape(count, n)
+    out = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(0, len(rows[0]), step_r):
+            for c in range(0, n, step_c):
+                piece = np.s_[r:r + step_r, c:c + step_c]
+                values = block(*(a[piece].ravel() for a in rows))
+                if out is None:
+                    out = np.empty(rows[0].shape, values.dtype)
+                out[piece] = values.reshape(out[piece].shape)
+    return out.reshape(shape)
 
 
 def wofz(z):
@@ -240,9 +250,7 @@ def wofz(z):
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag < 0):
         raise ValueError("wofz requires Im z >= 0")
-    out = blockwise(lambda x, y: complex(*w_scalar(x, y)), _w_complex,
-                    np.empty(z.shape, dtype=complex), z.real, z.imag)
-    return out if out.ndim else complex(out)
+    return elementwise(lambda x, y: complex(*w_scalar(x, y)), _w_complex, z.real, z.imag)
 
 
 def _w_complex(x, y):

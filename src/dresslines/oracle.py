@@ -41,9 +41,9 @@ _EPS = 1e-16
 _LOG_INV_EPS = math.log(1.0 / _EPS)
 _HALF_SPAN = math.sqrt(_LOG_INV_EPS)
 # _MAX_POINTS per axis bounds one average at about 7e7 evaluations of the
-# 2-D grid, which is evaluated _BLOCK_ROWS rows at a time to bound memory.
+# 2-D grid, which is evaluated _SLAB_ROWS rows at a time to bound memory.
 _MAX_POINTS = 8400
-_BLOCK_ROWS = 64
+_SLAB_ROWS = 64
 # The time-domain route stops at _HORIZON_FACTOR slowest decay times, where
 # the dropped tail exp(-2*_HORIZON_FACTOR) lies far below 1e-10, and steps
 # DOP853 at _RTOL and _ATOL.
@@ -147,10 +147,10 @@ def _average_2d(fn, kv, kmuv, theta, h):
     x, wx = _trapezoid_points(h)
     ct, st = math.cos(theta), math.sin(theta)
     total = 0.0
-    for i in range(0, x.size, _BLOCK_ROWS):
-        X = x[i:i + _BLOCK_ROWS, None]
+    for i in range(0, x.size, _SLAB_ROWS):
+        X = x[i:i + _SLAB_ROWS, None]
         vals = fn(kv * X, kmuv * (X * ct + x[None, :] * st))
-        total += float(np.sum((wx[i:i + _BLOCK_ROWS, None] * wx[None, :]) * vals))
+        total += float(np.sum((wx[i:i + _SLAB_ROWS, None] * wx[None, :]) * vals))
     return total
 
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .faddeeva import _BLOCK, blockwise
+from .faddeeva import elementwise
 from .model import DriveField, LevelScheme, RegimeError
 
 
@@ -77,8 +78,7 @@ def w_mu_exact(scheme, drive, probe, Omega_mu):
     A float Omega_mu (np.float64 included) runs the same expression in
     Python floats and returns a Python float, bit-identical to the array
     path, since every step is one correctly rounded float64 operation on
-    either path.  An array of more than faddeeva._BLOCK points is filled
-    block by block, so its temporaries stay a few blocks in size.
+    either path.  An array goes through faddeeva.elementwise.
     """
     gm, gn, gl = scheme.gamma_m, scheme.gamma_n, scheme.gamma_l
     G2 = drive.G * drive.G
@@ -94,14 +94,8 @@ def w_mu_exact(scheme, drive, probe, Omega_mu):
     k = (Om, G2, Gamma, r1, r2, p, c, p * r2 - c * Gamma, -2.0 * abs(probe.G_mu) ** 2)
     if isinstance(Omega_mu, float):
         return _exact(float(Omega_mu), k)
-    x = np.asarray(Omega_mu, dtype=float)
-    if not x.ndim:
-        return _exact(float(x), k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if x.size <= _BLOCK:
-            return _exact(x, k)
-        block = lambda v: _exact(v, k)  # noqa: E731
-        return blockwise(block, block, np.empty(x.shape), x)
+    form = partial(_exact, k=k)
+    return elementwise(form, form, Omega_mu)
 
 
 def _exact(x, k):
@@ -143,12 +137,13 @@ def w_mu_weak(scheme, drive, probe, Omega_mu):
 
     Returns (density, WeakFieldBreakdown).  The density is the real part of
     the breakdown's two residues over their poles, in real arithmetic:
-    Re(S/(a + i*x)) = (Re S*a + Im S*x)/(a**2 + x**2).  Beyond |x| = 1.3e154,
-    where x**2 overflows, a term reads 0; its 1/x tail cancels the other's,
-    as Im S = -Im R, so the density there is below
-    1e-308*|S|*(2*gamma_l + Gamma + |Omega|) anyway.  A float Omega_mu returns a Python float, bit-identical
-    to the array path; an array of more than faddeeva._BLOCK points is
-    filled block by block.  The formula is evaluated regardless of regime;
+    Re(S/(a + i*x)) = (Re S*a + Im S*x)/(a**2 + x**2).  As Im S = -Im R,
+    the two imaginary parts are taken as one term, whose 1/x tails cancel
+    in its numerator, not between two rounded terms, so the far wings keep
+    their relative accuracy; beyond |x| = 1.3e154, where x**2 overflows,
+    the density reads 0.  A float Omega_mu returns a Python float,
+    bit-identical to the array path; an array goes through
+    faddeeva.elementwise.  The formula is evaluated regardless of regime;
     callers judge validity through the breakdown's coupling_ratio.  Raises
     RegimeError only where the expression itself is singular (gamma_m =
     gamma_n and Omega = 0).
@@ -178,20 +173,16 @@ def w_mu_weak(scheme, drive, probe, Omega_mu):
     k = (Om, gl + gm, gl + gn, breakdown.stepwise, breakdown.raman)
     if isinstance(Omega_mu, float):
         return _weak(float(Omega_mu), k), breakdown
-    x = np.asarray(Omega_mu, dtype=float)
-    if not x.ndim:
-        return _weak(float(x), k), breakdown
-    with np.errstate(over="ignore", invalid="ignore"):
-        if x.size <= _BLOCK:
-            return _weak(x, k), breakdown
-        block = lambda v: _weak(v, k)  # noqa: E731
-        return blockwise(block, block, np.empty(x.shape), x), breakdown
+    form = partial(_weak, k=k)
+    return elementwise(form, form, Omega_mu), breakdown
 
 
 def _weak(x, k):
-    """w_mu_weak's density at a float or a 1-D array x, from its constants k."""
+    """w_mu_weak's density at a float or a 1-D array x, from its constants k;
+    Im S*(x*i1 - y*i2) = Im S*(x*a2**2 - y*a1**2 - Omega*x*y)*i1*i2."""
     Om, a1, a2, S, R = k
     y = x - Om
     i1 = 1.0 / (a1 * a1 + x * x)
     i2 = 1.0 / (a2 * a2 + y * y)
-    return (S.real * a1 * i1 + S.imag * (x * i1)) + (R.real * a2 * i2 + R.imag * (y * i2))
+    return (S.real * a1 * i1 + R.real * a2 * i2
+            + S.imag * (((x * a2 * a2 - y * a1 * a1) * i1 - Om * (x * i1) * y) * i2))

@@ -182,6 +182,20 @@ def test_zero_drive_doppler_ratios_are_unbounded(tmp_path):
     assert report.regime_ok and report.passed
 
 
+@pytest.mark.parametrize("k_mu,theta", [(2.0, 0.4), (1.0, 0.0)],
+                         ids=["voigt", "lorentzian"])
+def test_overflowing_wings_are_silent(tmp_path, capsys, k_mu, theta):
+    # with G = 1e200 the side lines' detunings square beyond the float range
+    # on the block path, as they do silently on the float path; theta = 0 at
+    # k_mu = k gives a zero Doppler scale, a Lorentzian
+    cfg = triplet_config(G=1e200, k=1.0)
+    cfg["probe"].update(k_mu=k_mu, theta=theta)
+    cfg["grid"] = {"min": -80.0, "max": 480.0, "count": 161}
+    path = write_config(tmp_path, "far.json", cfg)
+    assert main(["triplet", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_triplet_rejects_kind(tmp_path):
     cfg = {
         "schema_version": 1,

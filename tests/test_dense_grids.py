@@ -1,9 +1,10 @@
-"""The dense closed forms on arrays larger than one block.
+"""The closed forms on every shape faddeeva.elementwise tells apart.
 
-w_mu_exact, w_mu_weak and density_sum fill an array of more than
-faddeeva._BLOCK points block by block.  Every element must equal its own
-float call bit for bit at the block edges, and a 2^20-point call may
-allocate little beyond its output.
+A 0-d array takes the float path, an array of fewer than
+faddeeva._SCALAR_MAX points the float path element by element, and a
+larger one the block path, in blocks of at most faddeeva._BLOCK points.
+Every element must equal its own float call bit for bit on each side of
+those edges, and a 2^20-point call may allocate little beyond its output.
 """
 
 import tracemalloc
@@ -19,8 +20,10 @@ from dresslines import (
     doppler_strong_doublet,
     doppler_weak_doublet,
     fluorescence_triplet,
+    voigt_density,
     w_mu_exact,
     w_mu_weak,
+    wofz,
 )
 from dresslines.doppler import (
     DopplerComponent,
@@ -28,7 +31,7 @@ from dresslines.doppler import (
     strong_doublet_components,
     triplet_components,
 )
-from dresslines.faddeeva import _BLOCK
+from dresslines.faddeeva import _BLOCK, _SCALAR_MAX
 
 SCHEME = LevelScheme(gamma_m=1.0, gamma_n=2.0, gamma_l=0.5)
 DRIVE = DriveField(G=3.0, Omega=4.0, k=2.0)
@@ -38,6 +41,36 @@ ENSEMBLE = ThermalEnsemble(vbar=1.0)
 
 LORENTZIAN = [DopplerComponent(label="c", center=1.5, natural_halfwidth=0.7,
                                doppler_scale=0.0, weight=2.0, memory=0.0)]
+# one (halfwidth, scale) pair per row, the first a Lorentzian
+ROW_HALFWIDTHS = np.array([0.3, 1.1, 2.5])
+ROW_SCALES = np.array([0.0, 0.8, 4.0])
+
+
+def rows(x):
+    """x as rows of its last axis, and the row of each parameter pair."""
+    r = np.reshape(x, (-1, x.shape[-1] if x.ndim else 1))
+    return r, np.arange(len(r))[:, None] % len(ROW_HALFWIDTHS)
+
+
+def voigt_rows(x):
+    """voigt_density with (k, 1) parameters against x as a (k, n) detuning;
+    a 0-d x, one (1, 1) call, gives its one value."""
+    r, pick = rows(x)
+    out = voigt_density(ROW_HALFWIDTHS[pick], r, ROW_SCALES[pick])
+    return out.reshape(x.shape) if x.ndim else out.item()
+
+
+def voigt_rows_floats(x):
+    r, pick = rows(x)
+    return [voigt_density(ROW_HALFWIDTHS[i], v, ROW_SCALES[i])
+            for row, (i,) in zip(r.tolist(), pick.tolist()) for v in row]
+
+
+def wofz_form(x):
+    """w at x/6 + i*(x/60)**2: the rational, near-axis and asymptotic forms."""
+    t = x / 60.0
+    return wofz(x / 6.0 + 1j * (t * t))
+
 FORMS = {
     "w_mu_exact": lambda x: w_mu_exact(SCHEME, DRIVE, PROBE, x),
     "w_mu_weak": lambda x: w_mu_weak(SCHEME, WEAK_DRIVE, PROBE, x)[0],
@@ -46,19 +79,30 @@ FORMS = {
         strong_doublet_components(SCHEME, DRIVE, PROBE, ENSEMBLE), x),
     "density_sum_k3": lambda x: density_sum(
         triplet_components(SCHEME, DRIVE, PROBE, ENSEMBLE), x),
+    "voigt_density": lambda x: voigt_density(0.7, x, 1.3),
+    "voigt_density_rows": voigt_rows,
+    "wofz": wofz_form,
 }
+# each element's own float call, where it is not the form at that float
+FLOAT_CALLS = {"voigt_density_rows": voigt_rows_floats}
 
 
-@pytest.mark.parametrize("shape", [(_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,),
+@pytest.mark.parametrize("shape", [(), (1,), (_SCALAR_MAX - 1,), (_SCALAR_MAX,),
+                                   (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,),
                                    (3 * _BLOCK + 5,), (3, _BLOCK + 1)],
-                         ids=["block-1", "block", "block+1", "3block+5", "3x(block+1)"])
+                         ids=["0-d", "one", "scalar_max-1", "scalar_max", "block-1", "block",
+                              "block+1", "3block+5", "3x(block+1)"])
 @pytest.mark.parametrize("form", FORMS)
 def test_array_equals_its_float_calls_at_the_block_edges(form, shape):
     f = FORMS[form]
-    x = np.random.default_rng(len(shape) * shape[-1]).uniform(-60.0, 60.0, shape)
+    x = np.random.default_rng(len(shape) * shape[-1] if shape else 0).uniform(-60.0, 60.0, shape)
     got = f(x)
-    assert got.shape == x.shape
-    assert got.ravel().tolist() == [f(v) for v in x.ravel().tolist()]
+    floats = FLOAT_CALLS.get(form, lambda x: [f(v) for v in x.ravel().tolist()])(x)
+    if shape:
+        assert got.shape == x.shape
+        assert got.ravel().tolist() == floats
+    else:  # a 0-d array returns what its float call returns
+        assert type(got) is type(floats[0]) and got == floats[0]
 
 
 DENSE = {

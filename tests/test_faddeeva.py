@@ -82,10 +82,25 @@ def test_every_form_agrees_across_paths_over_several_blocks():
     assert got.ravel().tolist() == [wofz(complex(a, b)) for a, b in zip(x.flat, y.flat)]
 
 
+@pytest.mark.parametrize("z", [1e160 + 1j, -1e200 + 2j])
+def test_w_where_z_squared_overflows(z):
+    # |z|**2 is beyond the float range: w = i/(sqrt(pi) z) to rounding,
+    # from 1/z taken with z scaled to unit size
+    ref = 1j / z / math.sqrt(math.pi)
+    for got in (wofz(z), *wofz(np.full(64, z)).tolist()):
+        assert abs(got - ref) <= 1e-15 * abs(ref), (got, ref)
+
+
+def test_real_part_on_the_axis_beyond_the_rational_form():
+    # the asymptotic series gives Re w = 0 on the axis, where Re w = exp(-x**2)
+    for got in (wofz(8.5), *wofz(np.full(64, 8.5 + 0j)).tolist()):
+        assert got.real == np.exp(-72.25)
+
+
 def test_wofz_keeps_shape_and_returns_complex_for_a_scalar():
     assert type(wofz(0.5 + 0.5j)) is complex
     assert wofz(np.zeros((2, 3)) + 1j).shape == (2, 3)
-    assert wofz(np.zeros(0)).shape == (0,)
+    assert wofz(np.zeros(0)).shape == (0,) and wofz(np.zeros(0)).dtype == complex
 
 
 halfwidth = log_uniform(1e-3, 1e2)

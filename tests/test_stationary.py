@@ -1,6 +1,7 @@
 """Atom-at-rest spectrum against the time-domain oracle and its own limits."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -134,7 +135,8 @@ def test_far_detunings_against_mpmath(x):
     probe = ProbeField(G_mu=1.0)
     ref = lyapunov_density_mp(1.0, 2.0, 0.5, 3.0, 4.0, 1.0, x)
     for got in (w_mu_exact(scheme, drive, probe, x),
-                w_mu_exact(scheme, drive, probe, np.array([0.0, x]))[1]):
+                w_mu_exact(scheme, drive, probe, np.array([0.0, x]))[1],
+                w_mu_exact(scheme, drive, probe, np.resize([0.0, x], 64))[1]):
         assert math.isclose(got, ref, rel_tol=1e-13, abs_tol=2e-323), (got, ref)
     if abs(x) == 1e78:
         assert ref == pytest.approx(1.0305343511450373e-157, rel=1e-13)
@@ -170,6 +172,29 @@ def test_weak_field_form_and_breakdown():
     # and they are no rounding-level correction
     shift = np.max(np.abs(w - bare)) / np.max(np.abs(w))
     assert shift > 0.1
+
+
+def test_weak_field_far_wings_keep_their_relative_accuracy():
+    # Im S = -Im R, so the two residues' 1/Omega_mu tails cancel: taken as
+    # two rounded terms they left 2e-11 of error at 1e6 and 0.2 at 1e16
+    scheme = LevelScheme(gamma_m=1.0, gamma_n=2.0, gamma_l=0.5)
+    drive = DriveField(G=0.01, Omega=4.0)
+    probe = ProbeField(G_mu=1.0)
+    _, br = w_mu_weak(scheme, drive, probe, 0.0)
+    S, R = br.stepwise, br.raman
+
+    def exact(x):  # the same residues over their poles, in rational arithmetic
+        a1, a2, x, y = Fraction(1.5), Fraction(2.5), Fraction(x), Fraction(x) - 4
+        return float((Fraction(S.real) * a1 + Fraction(S.imag) * x) / (a1 * a1 + x * x)
+                     + (Fraction(R.real) * a2 + Fraction(R.imag) * y) / (a2 * a2 + y * y))
+
+    points = [1e6, 1e9, 1e12, 1e16, -1e16, 1e200]
+    block = np.resize(points, 64)
+    pairs = [(x, w_mu_weak(scheme, drive, probe, x)[0]) for x in points]
+    pairs += zip(block.tolist(), w_mu_weak(scheme, drive, probe, block)[0].tolist())
+    for x, got in pairs:
+        ref = exact(x)
+        assert abs(got - ref) <= 3 * np.finfo(float).eps * abs(ref), (x, got, ref)
 
 
 def test_weak_field_quadratic_convergence():
