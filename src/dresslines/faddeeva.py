@@ -219,8 +219,9 @@ def elementwise(scalar, block, *args):
     operations silenced as in Python floats, and fills an output of its
     dtype.  The two functions must agree elementwise.
     """
-    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
-    shape = args[0].shape
+    args = [np.asarray(a, dtype=float) for a in args]
+    shape = np.broadcast(*args).shape
+    args = [a if a.shape == shape else np.broadcast_to(a, shape) for a in args]
     if not shape:
         return scalar(*map(float, args))
     if args[0].size < _SCALAR_MAX:

@@ -1,4 +1,8 @@
-"""Brute-force reference routes: time-domain solver, velocity quadrature, certify."""
+"""Brute-force reference routes: time-domain propagator, velocity quadrature, certify.
+
+scipy's DOP853 solve of the same amplitude equations is kept here as the
+propagator's test-only reference.
+"""
 
 import math
 
@@ -6,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from dresslines import (
     CLOSED_FORM_IDS,
@@ -18,6 +23,7 @@ from dresslines import (
     certify,
     doppler_strong_doublet,
     doppler_weak_doublet,
+    dressed_exponents,
     strong_doublet_components,
     strong_pointwise,
     velocity_average,
@@ -43,28 +49,91 @@ def test_no_drive_no_emission():
 
 
 def test_self_check_path(monkeypatch):
+    # halving_check reruns the propagator at half of each point's own step
+    # h = 0.5/||A||_inf and returns the rerun; a point that it moves beyond
+    # the 1e-10 halving bound raises
     probe = ProbeField(G_mu=1e-3)
-    grid = np.array([-3.0, 0.5, 6.0])
+    grid = np.array([-3.0, 0.5, 20.0])
     base = w_mu_time_domain_grid(SCHEME, DRIVE, probe, grid)
-    rtols = []
-    solve = oracle.solve_ivp
+    steps, runs = [], []
+    emission = oracle._emission
 
-    def spy(*args, **kwargs):
-        rtols.append(kwargs["rtol"])
-        sol = solve(*args, **kwargs)
-        if nudge and len(rtols) == 2:
-            sol.y[2 + grid.size + 1, -1] *= 1.0 + 1e-8   # one point, beyond 100x rtol
-        return sol
+    def spy(A, gamma_l, h):
+        w = emission(A, gamma_l, h)
+        if nudge and len(runs) == 1:
+            w[1] *= 1.0 + 1e-8
+        steps.append(h)
+        runs.append(w)
+        return w
 
-    monkeypatch.setattr(oracle, "solve_ivp", spy)
+    monkeypatch.setattr(oracle, "_emission", spy)
     nudge = False
     checked = w_mu_time_domain_grid(SCHEME, DRIVE, probe, grid, halving_check=True)
-    assert rtols == [1e-11, 5e-12]
-    assert checked == pytest.approx(base, rel=1e-8)
-    rtols.clear()
+    drive_row = DRIVE.G + abs(complex(SCHEME.gamma_n, DRIVE.Omega))
+    assert steps[0] == pytest.approx([0.5 / drive_row, 0.5 / drive_row,
+                                      0.5 / (probe.G_mu + abs(complex(0.5, 20.0)))],
+                                     rel=1e-15)
+    assert len(steps) == 2 and np.array_equal(steps[1], 0.5 * steps[0])
+    assert checked is runs[1]
+    assert checked == pytest.approx(base, rel=1e-12)
+    steps.clear()
+    runs.clear()
     nudge = True
     with pytest.raises(ConvergenceError, match="grid point 1"):
         w_mu_time_domain_grid(SCHEME, DRIVE, probe, grid, halving_check=True)
+
+
+def test_time_domain_refusals():
+    probe = ProbeField(G_mu=1e-3)
+    # 1e300 needs a horizon of about 1e302 steps, beyond 2**64
+    with pytest.raises(ConvergenceError, match="grid point 1 did not decay"):
+        w_mu_time_domain_grid(SCHEME, DRIVE, probe, [0.0, 1e300])
+    with pytest.raises(ConvergenceError, match="not finite at grid point 2"):
+        w_mu_time_domain_grid(SCHEME, DRIVE, probe, [0.0, 1.0, math.inf])
+
+
+def ode_emission(scheme, drive, probe, grid):
+    """The emission density by DOP853 at rtol 1e-11, atol 1e-13 to 40
+    slowest decay times: 2 + 2n complex ODEs, the drive pair, each probed
+    amplitude and its accumulated 2*gamma_l*int|a_l|^2 dt."""
+    gm, gn, gl = scheme.gamma_m, scheme.gamma_n, scheme.gamma_l
+    Omu = np.asarray(grid, dtype=float)
+    n = Omu.size
+    pair = dressed_exponents(scheme, drive)
+    T = 40.0 / min(pair.alpha1.real, pair.alpha2.real, gl)
+    G, G_mu, Om = drive.G, probe.G_mu, drive.Omega
+
+    def rhs(t, y):
+        am, bn, bl = y[0], y[1], y[2:2 + n]
+        dy = np.empty_like(y)
+        dy[0] = -gm * am + 1j * G * bn
+        dy[1] = -(gn + 1j * Om) * bn + 1j * G * am
+        dy[2:2 + n] = -(gl + 1j * Omu) * bl + 1j * G_mu * am
+        dy[2 + n:] = 2.0 * gl * (bl.real**2 + bl.imag**2)
+        return dy
+
+    y0 = np.zeros(2 + 2 * n, dtype=complex)
+    y0[1] = 1.0
+    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=1e-11, atol=1e-13)
+    assert sol.success, sol.message
+    return sol.y[2 + n:, -1].real
+
+
+@pytest.mark.parametrize("scheme, drive, grid", [
+    (SCHEME, DriveField(G=0.0, Omega=4.0), [-3.0, 1.0, 6.0]),
+    # the confluent point of test_stationary's time-domain check
+    (LevelScheme(gamma_m=1.0, gamma_n=1.0 + 2 * 1.3, gamma_l=0.8), DriveField(G=1.3, Omega=0.0),
+     [-3.0, 0.0, 1.7, 5.0]),
+    # far detunings, with rates that keep the ODE's horizon short
+    (LevelScheme(gamma_m=4.0, gamma_n=5.0, gamma_l=4.0), DriveField(G=3.0, Omega=4.0),
+     [-1e3, 1e3]),
+], ids=["no-drive", "confluent", "far"])
+def test_propagator_matches_an_ode_solve(scheme, drive, grid):
+    # G_mu = 1 keeps the accumulated integral far above the ODE's atol
+    probe = ProbeField(G_mu=1.0)
+    got = w_mu_time_domain_grid(scheme, drive, probe, grid)
+    ref = ode_emission(scheme, drive, probe, grid)
+    assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref))
 
 
 def test_grid_matches_scalar_calls():
@@ -207,7 +276,7 @@ def test_certify_rejects_unknown_inputs():
         certify("eq9_9", {}, 1e-6)
     with pytest.raises(ValueError):
         certify("eq2_6", {"gamma_x": 1.0}, 1e-6)
-    # the ODE step tolerances are constants, not parameters
+    # the time-domain route has no tolerance to set
     for key in ("rtol", "atol"):
         with pytest.raises(ValueError, match=f"unknown parameter keys: \\['{key}'\\]"):
             certify("eq2_6", {key: 1e-12}, 1e-6)

@@ -142,6 +142,19 @@ def test_far_detunings_against_mpmath(x):
         assert ref == pytest.approx(1.0305343511450373e-157, rel=1e-13)
 
 
+def test_time_domain_route_keeps_a_slow_decay_against_a_fast_detuning():
+    # ||A||_inf ~ 1e4 sets the step, so exp(-gamma_m*h) lies within 5e-7
+    # of 1: carried as Phi itself it would lose six digits (2e-10 here)
+    scheme = LevelScheme(gamma_m=0.01, gamma_n=40.0, gamma_l=50.0)
+    drive = DriveField(G=0.002, Omega=2.7)
+    probe = ProbeField(G_mu=1.0)
+    grid = np.array([-1e4, 1e4])
+    got = w_mu_time_domain_grid(scheme, drive, probe, grid)
+    for x, w in zip(grid, got):
+        ref = lyapunov_density_mp(0.01, 40.0, 50.0, 0.002, 2.7, 1.0, x, dps=60)
+        assert w == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
 def test_weak_field_form_and_breakdown():
     scheme = LevelScheme(gamma_m=1.0, gamma_n=2.0, gamma_l=0.5)
     Om = 5.0
@@ -288,3 +301,22 @@ def test_sum_rule_and_nonnegativity(gm, gn, gl, G, Omega, sign):
     offsets = width * np.logspace(-3.0, 3.0, 25)
     grid = np.concatenate([c + np.concatenate([-offsets, [0.0], offsets]) for c in (c1, c2)])
     assert np.all(w_mu_exact(scheme, drive, probe, grid) >= 0.0)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(gm=log_rate, gn=log_rate, gl=log_rate, G=st.one_of(st.just(0.0), log_drive),
+       Omega=log_drive, sign=st.sampled_from([-1.0, 1.0]),
+       x=st.floats(min_value=-1e4, max_value=1e4))
+@example(gm=1.0, gn=3.0, gl=0.5, G=1.0, Omega=0.0, sign=1.0, x=0.0)  # exceptional: |gn - gm| = 2G
+@example(gm=1.0, gn=2.0, gl=0.5, G=3.0, Omega=4.0, sign=1.0, x=-1e4)  # far detuning
+def test_exact_spectrum_matches_the_time_domain_route(gm, gn, gl, G, Omega, sign, x):
+    # At each dressed line (whose place only picks the grid), a tenth of a
+    # width and ten widths off it, and at x: within 1e-9 relative.
+    scheme = LevelScheme(gamma_m=gm, gamma_n=gn, gamma_l=gl)
+    drive = DriveField(G=G, Omega=sign * Omega)
+    pair = dressed_exponents(scheme, drive)
+    offsets = (gl + gm + gn + G) * np.array([-10.0, -0.1, 0.0, 0.1, 10.0])
+    grid = np.concatenate([[x], pair.alpha1.imag + offsets, pair.alpha2.imag + offsets])
+    ref = w_mu_time_domain_grid(scheme, drive, PROBE, grid)
+    w = w_mu_exact(scheme, drive, PROBE, grid)
+    assert np.all(np.abs(w - ref) <= 1e-9 * np.abs(ref)), np.max(np.abs(w / ref - 1.0))
