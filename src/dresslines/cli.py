@@ -13,8 +13,9 @@ a field that could not be measured empty; JSON summaries carry the unit
 convention, and non-finite or unmeasured values serialize as null.  Exit
 codes, each failure with one line on stderr: 0 success, 1 physics-regime
 failure (a closed form outside its regime, or arithmetic that leaves the
-float range), 2 usage error (a config that cannot be read or is invalid,
-an --out that cannot be created or written).
+float range), 2 usage error (a config that cannot be read or is invalid or
+asks for a grid too large to allocate, an --out that cannot be created or
+written).
 """
 
 from __future__ import annotations
@@ -511,25 +512,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out_dir = Path(args.out)
     try:
         cfg = load_config(args.config, args.job)
-    except ConfigError as e:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return JOB_TABLE[cfg.job].run(cfg, out_dir, Path(args.config).stem, args.format)
+    except (ConfigError, MemoryError) as e:  # MemoryError: a grid too large to allocate
         print(f"error: {e}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
-    base = Path(args.config).stem
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return JOB_TABLE[cfg.job].run(cfg, out_dir, base, args.format)
     except (RegimeError, oracle.ConvergenceError) as e:
         print(f"physics-regime failure: {e}", file=sys.stderr)
         return 1
     except ArithmeticError as e:  # finite inputs whose arithmetic leaves the float range
         print(f"physics-regime failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except OSError as e:
         print(f"error: cannot write output to {out_dir}: {e}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -64,24 +65,24 @@ class ConvergenceError(RuntimeError):
     """An oracle failed its self-consistency (tail or step halving) check."""
 
 
-def _generator(scheme, drive, probe, grid):
+def _generator(scheme, drive, grid):
     """The 3x3 generator A of y = (a_m, a_n, a_l) at each detuning in grid,
-    with a_l carried to first order in G_mu."""
+    with a_m feeding a_l to first order at the rate gamma_l, not G_mu."""
     A = np.zeros((grid.size, 3, 3), dtype=complex)
     A[:, 0, 0] = -scheme.gamma_m
     A[:, 0, 1] = A[:, 1, 0] = 1j * drive.G
     A[:, 1, 1] = -complex(scheme.gamma_n, drive.Omega)
-    A[:, 2, 0] = 1j * probe.G_mu
+    A[:, 2, 0] = 1j * scheme.gamma_l
     A[:, 2, 2] = -scheme.gamma_l
     A[:, 2, 2].imag = -grid      # -1j*grid would have a nan real part at an infinite detuning
     return A
 
 
 def _emission(A, gamma_l, h):
-    """W[n, n] of the emission Gramian of each generator in A, stepped at h."""
+    """W[n, n] of the emission Gramian of each generator in A, stepped at h
+    and doubled, the whole grid together, until every ||Phi||_F^2 <= _TAIL."""
     with np.errstate(over="ignore", invalid="ignore"):
-        n = len(A)
-        M = np.zeros((n, 6, 6), dtype=complex)
+        M = np.zeros((len(A), 6, 6), dtype=complex)
         M[:, :3, :3] = -A.conj().swapaxes(1, 2)
         M[:, 2, 5] = 2.0 * gamma_l
         M[:, 3:, 3:] = A
@@ -93,66 +94,67 @@ def _emission(A, gamma_l, h):
         E = M @ E                       # exp(M) - 1
         D = E[:, 3:, 3:]
         W = (np.eye(3) + D).conj().swapaxes(1, 2) @ E[:, :3, 3:]
-
-        w = np.empty(n)
-        left = np.arange(n)
         for _ in range(_MAX_DOUBLINGS + 1):
             phi = D + np.eye(3)
-            # a nan tail stops as well, for the finiteness check to report
-            done = ~(np.sum(phi.real**2 + phi.imag**2, axis=(1, 2)) > _TAIL)
-            w[left[done]] = W[done, 1, 1].real
-            left, D, W = left[~done], D[~done], W[~done]
-            if not left.size:
-                break
+            # a nan tail holds nothing back, for the finiteness check to report
+            above = np.sum(phi.real**2 + phi.imag**2, axis=(1, 2)) > _TAIL
+            if not above.any():
+                return W[:, 1, 1].real
             DH, WD = D.conj().swapaxes(1, 2), W @ D
             W = 2.0 * W + DH @ W + WD + DH @ WD
             D = 2.0 * D + D @ D
-        else:
-            raise ConvergenceError(
-                f"the propagator at grid point {left[0]} did not decay to {_TAIL:g} "
-                f"within {_MAX_DOUBLINGS} doublings")
-    bad = ~np.isfinite(w)
-    if bad.any():
-        raise ConvergenceError(
-            f"the time-domain density is not finite at grid point {np.argmax(bad)}")
-    return w
+    raise ConvergenceError(
+        f"the propagator at grid point {np.argmax(above)} did not decay to {_TAIL:g} "
+        f"within {_MAX_DOUBLINGS} doublings")
+
+
+def _halved(run, h, rtol):
+    """run(h/2), once it agrees with run(h) to rtol at every point; a point
+    that moved further raises ConvergenceError naming it."""
+    coarse, fine = run(h), run(0.5 * h)
+    a, b = np.atleast_1d(coarse), np.atleast_1d(fine)
+    moved = np.abs(a - b) > rtol * np.maximum(np.abs(a), np.abs(b))
+    if np.any(moved):
+        i = int(np.argmax(moved))
+        raise ConvergenceError(f"step halving moved the result at point {i} beyond "
+                               f"{rtol:g}: {float(a[i])!r} vs {float(b[i])!r}")
+    return fine
 
 
 def w_mu_time_domain_grid(scheme, drive, probe, grid, *, halving_check: bool = False):
     """Emission density of an atom at rest at each probe detuning in grid,
     from the amplitude equations propagated in time.
 
-    At each detuning y = (a_m, a_n, a_l) obeys y' = A*y from y = e_n, with
-    a_l to first order in G_mu, and the density is 2*gamma_l*int|a_l|^2 dt
-    over all t >= 0.  That integral is W[n, n] of the Gramian of A: one
-    24-term Taylor series of Van Loan's 6x6 block exponential gives the
-    propagator Phi and W over one step h = 0.5/||A||_inf, and doubling
-    (W <- W + Phi^H W Phi, Phi <- Phi^2) carries both out until
-    ||Phi||_F^2 <= 1e-17, which bounds ||Phi||_2^2.  Each grid point has
-    its own step and its own number of doublings, and more than 64
-    doublings, or a value that is not finite, raises ConvergenceError.
-    No dressed-state algebra enters.  Rounding grows as eps times the
-    ratio of the probed amplitude's rotation to its decay, about
-    |Omega_mu|/gamma_l: near 1e-10 relative at a ratio of 1e6, where the
-    halving check below can fail.  For an atom moving at v, pass
-    drive.Omega - k.v and the grid less k_mu.v.  With halving_check the run
-    is repeated at h/2, a relative disagreement beyond 1e-10 at any point
-    raises ConvergenceError, and the finer run is returned.
+    At each detuning y = (a_m, a_n, a_l) obeys y' = A*y from y = e_n, and
+    the density is 2*gamma_l*int|a_l|^2 dt over all t >= 0.  To first order
+    it is exactly quadratic in G_mu, so A feeds a_l at the rate gamma_l and
+    the result is scaled by (G_mu/gamma_l)^2: the probe sets no step.  The
+    integral is W[n, n] of the Gramian of A: one 24-term Taylor series of
+    Van Loan's 6x6 block exponential gives the propagator Phi and W over a
+    step h = 0.5/||A||_inf of each point, and doubling the whole grid
+    (W <- W + Phi^H W Phi, Phi <- Phi^2) carries both out until every point
+    has ||Phi||_F^2 <= 1e-17, which bounds ||Phi||_2^2.  More than 64
+    doublings, or a scaled value that is not finite, raises
+    ConvergenceError.  No dressed-state algebra enters.  Rounding grows as
+    eps times |Omega_mu|/gamma_l, the probed amplitude's rotation over its
+    decay: near 1e-10 relative at a ratio of 1e6, where the halving check
+    can fail.  For an atom moving at v, pass drive.Omega - k.v and the grid
+    less k_mu.v.  With halving_check the run is repeated at h/2, a relative
+    disagreement beyond 1e-10 at any point raises ConvergenceError, and the
+    finer run is returned.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
-    A = _generator(scheme, drive, probe, grid)
+    A = _generator(scheme, drive, grid)
     h = _STEP_NORM / np.max(np.sum(np.abs(A), axis=2), axis=1)
-    w = _emission(A, scheme.gamma_l, h)
-    if halving_check:
-        w2 = _emission(A, scheme.gamma_l, 0.5 * h)
-        moved = np.abs(w - w2) > _HALVING_RTOL * np.maximum(np.abs(w), np.abs(w2))
-        if np.any(moved):
-            i = int(np.argmax(moved))
-            raise ConvergenceError(
-                f"step halving moved the result at grid point {i}: "
-                f"{w[i]!r} vs {w2[i]!r}"
-            )
-        w = w2
+    run = partial(_emission, A, scheme.gamma_l)
+    w = _halved(run, h, _HALVING_RTOL) if halving_check else run(h)
+    r = probe.G_mu / scheme.gamma_l
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = w * r * r
+    bad = ~np.isfinite(w)
+    if bad.any():
+        raise ConvergenceError(
+            f"the time-domain density is not finite at grid point {np.argmax(bad)}")
     return w
 
 
@@ -204,9 +206,10 @@ def velocity_average(pointwise_fn, ensemble, k, k_mu, theta, *,
     pole_distance is the smallest natural width over the largest Doppler
     scale (math.inf when every Doppler scale vanishes).  A pole distance
     that needs more than 8400 points per axis (d below about 0.0085) raises
-    ValueError.  With doubling_check the average is repeated at h/2, a
-    relative shift above 1e-9 raises ConvergenceError carrying both
-    estimates, and the finer estimate is returned.
+    ValueError.  With doubling_check the average is repeated at h/2 by the
+    same rule as the time-domain halving check: a relative shift above
+    1e-9 raises ConvergenceError carrying both estimates, and the finer
+    estimate is returned.
     """
     kv = k * ensemble.vbar
     kmuv = k_mu * ensemble.vbar
@@ -230,16 +233,7 @@ def velocity_average(pointwise_fn, ensemble, k, k_mu, theta, *,
             return _average_1d(pointwise_fn, kv, kmuv * math.cos(theta), step)
         return _average_2d(pointwise_fn, kv, kmuv, theta, step)
 
-    val = run(h)
-    if doubling_check:
-        val2 = run(0.5 * h)
-        denom = max(abs(val), abs(val2), 1e-300)
-        if abs(val - val2) / denom > 1e-9:
-            raise ConvergenceError(
-                f"halving the step moved the average beyond 1e-9: {val!r} vs {val2!r}"
-            )
-        val = val2
-    return val
+    return _halved(run, h, 1e-9) if doubling_check else run(h)
 
 
 def weak_pointwise(scheme, drive, probe, Omega_mu):
@@ -499,8 +493,9 @@ def certify(closed_form_id: str, parameter_set: dict, tolerance: float) -> Certi
     gives the form, reference route, deviation measure and regime check.
     A regime violation fails the run with an explanation even when the
     numbers agree, because agreement outside the regime does not certify
-    the physics claim; a reference that is zero where the measure divides
-    by it raises RegimeError.
+    the physics claim.  A form or route that refuses the set (ValueError),
+    or a reference that is zero where the measure divides by it, raises
+    RegimeError naming the id.
     """
     if closed_form_id not in CLOSED_FORM_IDS:
         raise ValueError(f"unknown closed_form_id {closed_form_id!r}; "
@@ -508,7 +503,10 @@ def certify(closed_form_id: str, parameter_set: dict, tolerance: float) -> Certi
     name, closed, (route_name, route), (measure_name, measure), regime = _FORMS[closed_form_id]
     _, scheme, drive, probe, ensemble, grid = _build(parameter_set)
     ratios, regime_ok, regime_note = regime(scheme, drive, probe, ensemble)
-    error, scale = measure(*route(closed, scheme, drive, probe, ensemble, grid))
+    try:
+        error, scale = measure(*route(closed, scheme, drive, probe, ensemble, grid))
+    except ValueError as e:  # e.g. a pole distance the velocity route cannot resolve
+        raise RegimeError(f"{closed_form_id}: {e}") from e
     if np.any(scale == 0.0):
         raise RegimeError(f"{closed_form_id}: the reference ({route_name}) is zero, "
                           f"so the {measure_name} deviation is undefined")

@@ -550,6 +550,12 @@ def certify_config(**section):
      "unknown keys in 'scheme': ['omega_mn']"),
     ("scan", {k: v for k, v in scan_config([]).items() if k != "thetas"},
      "config section 'thetas' is required for job 'scan'"),
+    # 7.11 PiB, beyond the address space, so the allocation fails at once
+    ("spectrum", spectrum_config(grid={"min": -30, "max": 30, "count": 10**15}),
+     "Unable to allocate"),
+    ("certify", certify_config(ids=["eq2_6"], tolerance=1e-6,
+                               parameters={"omega_mu_count": 10**15}),
+     "Unable to allocate"),
 ], ids=["theta-not-a-number", "thetas-not-a-list", "tolerance-not-a-number",
         "unknown-parameter", "empty-grid", "ids-not-a-list", "label-object",
         "label-number", "grid-max-infinity", "parameter-minus-infinity",
@@ -557,7 +563,7 @@ def certify_config(**section):
         "grid-min-string", "drive-G-bool", "parameter-count-float",
         "parameter-G-bool", "parameter-vbar-bool", "parameter-rtol-unknown",
         "probe-Omega_mu", "scheme-omega_mn",
-        "scan-without-thetas"])
+        "scan-without-thetas", "grid-count-too-large", "parameter-count-too-large"])
 def test_malformed_configs_exit_2_with_one_error_line(tmp_path, capsys, job, cfg, message):
     path = write_config(tmp_path, "malformed.json", cfg)
     assert main([job, "--config", str(path), "--out", str(tmp_path)]) == 2
@@ -640,10 +646,14 @@ def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys, where):
                                          "gamma_l": 1e-300})),
     ("doppler", doppler_config(drive={"G": 1.0, "Omega": 400.0, "k": 1e200})),
     ("doublet", doppler_config(job="doublet", drive={"G": 1e200, "Omega": 5.0, "k": 4.0})),
+    ("certify", certify_config(ids=["eq3_2"], tolerance=1e-6,
+                               parameters={"k": 1000.0, "k_mu": 900.0, "theta": 0.5,
+                                           "omega_mu_count": 1})),
 ], ids=["spectrum-Omega-1e200", "spectrum-gammas-1e-300", "doppler-k-1e200",
-        "doublet-G-1e200"])
+        "doublet-G-1e200", "certify-pole-distance-0.00167"])
 def test_finite_extreme_values_are_a_regime_failure(tmp_path, capsys, job, cfg):
-    # each config is valid, but its arithmetic overflows or divides by zero
+    # each config is valid, but its arithmetic overflows or divides by zero,
+    # or its Doppler scale is too wide for the velocity route to resolve
     path = write_config(tmp_path, "extreme.json", cfg)
     assert main([job, "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err

@@ -50,8 +50,9 @@ def test_no_drive_no_emission():
 
 def test_self_check_path(monkeypatch):
     # halving_check reruns the propagator at half of each point's own step
-    # h = 0.5/||A||_inf and returns the rerun; a point that it moves beyond
-    # the 1e-10 halving bound raises
+    # h = 0.5/||A||_inf, with a_l fed at the rate gamma_l, and returns the
+    # rerun scaled by (G_mu/gamma_l)^2; a point that it moves beyond the
+    # 1e-10 halving bound raises
     probe = ProbeField(G_mu=1e-3)
     grid = np.array([-3.0, 0.5, 20.0])
     base = w_mu_time_domain_grid(SCHEME, DRIVE, probe, grid)
@@ -69,18 +70,28 @@ def test_self_check_path(monkeypatch):
     monkeypatch.setattr(oracle, "_emission", spy)
     nudge = False
     checked = w_mu_time_domain_grid(SCHEME, DRIVE, probe, grid, halving_check=True)
+    gl = SCHEME.gamma_l
     drive_row = DRIVE.G + abs(complex(SCHEME.gamma_n, DRIVE.Omega))
     assert steps[0] == pytest.approx([0.5 / drive_row, 0.5 / drive_row,
-                                      0.5 / (probe.G_mu + abs(complex(0.5, 20.0)))],
+                                      0.5 / (gl + abs(complex(gl, 20.0)))],
                                      rel=1e-15)
     assert len(steps) == 2 and np.array_equal(steps[1], 0.5 * steps[0])
-    assert checked is runs[1]
+    assert checked == pytest.approx(runs[1] * (probe.G_mu / gl) ** 2, rel=1e-15)
     assert checked == pytest.approx(base, rel=1e-12)
     steps.clear()
     runs.clear()
     nudge = True
-    with pytest.raises(ConvergenceError, match="grid point 1"):
+    with pytest.raises(ConvergenceError, match="at point 1 beyond 1e-10"):
         w_mu_time_domain_grid(SCHEME, DRIVE, probe, grid, halving_check=True)
+
+
+def test_time_domain_route_is_quadratic_in_the_probe():
+    # the probe sets no time scale, so w/G_mu^2 is one number at any G_mu
+    grid = np.array([-5.0, 0.5, 7.0])
+    unit = w_mu_time_domain_grid(SCHEME, DRIVE, ProbeField(G_mu=1.0), grid)
+    for G_mu in (1e-3, 1e100):
+        w = w_mu_time_domain_grid(SCHEME, DRIVE, ProbeField(G_mu=G_mu), grid)
+        assert w == pytest.approx(G_mu**2 * unit, rel=1e-14)
 
 
 def test_time_domain_refusals():
@@ -350,6 +361,14 @@ def test_certify_zero_reference_is_a_regime_error(cid):
         certify(cid, {"G": 0.0, "omega_mu_count": 3}, 1e-6)
 
 
+def test_certify_unresolvable_pole_distance_is_a_regime_error():
+    # velocity_average refuses the pole distance with a ValueError; certify
+    # reports it as outside the route's regime
+    with pytest.raises(RegimeError, match="^eq3_2: pole distance 0.00167 "):
+        certify("eq3_2", {"k": 1000.0, "k_mu": 900.0, "theta": 0.5, "omega_mu_count": 1},
+                1e-6)
+
+
 def test_certify_calls_the_module_level_routes(monkeypatch):
     # A wrapper bound to a route's or builder's module-level name (a test
     # spy, a tracer) must see certify's calls.
@@ -375,6 +394,9 @@ def test_certify_calls_the_module_level_routes(monkeypatch):
 
 
 def test_certify_exact_form_passes():
+    # a probe coupling far above every rate sets no step of the time-domain route
+    for G_mu in (1e18, 1e100):
+        assert certify("eq2_6", {"G_mu": G_mu, "omega_mu_count": 3}, 1e-6).passed
     report = certify("eq2_6", {"omega_mu_count": 5}, 1e-6)
     assert report.passed and report.regime_ok
     assert report.n_points == 5

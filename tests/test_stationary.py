@@ -239,19 +239,19 @@ def test_scaling_invariance():
     # w is a dimensionless emission probability (rate times time integral),
     # so rescaling every frequency-like input by one factor leaves it
     # unchanged: the unit of the shared frequency scale is a free choice.
-    scheme = LevelScheme(gamma_m=0.8, gamma_n=1.7, gamma_l=0.6)
-    drive = DriveField(G=2.2, Omega=-3.0)
-    probe = ProbeField(G_mu=1e-3)
+    # The time-domain route must not depend on that unit either.
+    def case(s):
+        return (LevelScheme(gamma_m=0.8 * s, gamma_n=1.7 * s, gamma_l=0.6 * s),
+                DriveField(G=2.2 * s, Omega=-3.0 * s), ProbeField(G_mu=1e-3 * s))
+
     x = 1.9
-    base = w_mu_exact(scheme, drive, probe, x)
-    s = 7.3
-    scaled = w_mu_exact(
-        LevelScheme(gamma_m=0.8 * s, gamma_n=1.7 * s, gamma_l=0.6 * s),
-        DriveField(G=2.2 * s, Omega=-3.0 * s),
-        ProbeField(G_mu=1e-3 * s),
-        x * s,
-    )
-    assert scaled == pytest.approx(base, rel=1e-12)
+    base = w_mu_exact(*case(1.0), x)
+    assert w_mu_exact(*case(7.3), x * 7.3) == pytest.approx(base, rel=1e-12)
+    grid = np.array([-6.0, x, 9.0])
+    exact = w_mu_exact(*case(1.0), grid)
+    for s in (1e-8, 1e8):
+        got = w_mu_time_domain_grid(*case(s), grid * s)
+        assert np.all(np.abs(got - exact) <= 1e-13 * exact)
 
 
 def test_nonnegative_on_random_sweep():
