@@ -43,8 +43,11 @@ _SQRT_PI = math.sqrt(math.pi)
 _EPS = 1e-16
 _LOG_INV_EPS = math.log(1.0 / _EPS)
 _HALF_SPAN = math.sqrt(_LOG_INV_EPS)
-# _MAX_POINTS per axis bounds one average at about 7e7 evaluations of the
-# 2-D grid, which is evaluated _SLAB_ROWS rows at a time to bound memory.
+# _MAX_POINTS per axis, checked against the finest step an average runs,
+# bounds it at about 7e7 evaluations of the 2-D grid.  The grid is taken
+# _SLAB_ROWS rows at a time, so memory stays bounded by one slab: k_mu.v is
+# formed for a slab in one broadcast pass, and the slab is contracted with
+# the weights as w_rows @ (vals @ w), a gemv and a dot, with no weight matrix.
 _MAX_POINTS = 8400
 _SLAB_ROWS = 64
 # The time-domain route, w_mu_time_domain_grid.  Van Loan's block
@@ -175,17 +178,21 @@ def _trapezoid_points(h):
 
 def _average_1d(fn, scale_k, scale_kmu, h):
     x, wx = _trapezoid_points(h)
-    return float(np.sum(wx * fn(scale_k * x, scale_kmu * x)))
+    # a pointwise function may return a scalar; @ needs the full axis
+    return float(wx @ np.broadcast_to(fn(scale_k * x, scale_kmu * x), x.shape))
 
 
 def _average_2d(fn, kv, kmuv, theta, h):
     x, wx = _trapezoid_points(h)
-    ct, st = math.cos(theta), math.sin(theta)
+    kmu_rows = (kmuv * math.cos(theta)) * x
+    kmu_cols = (kmuv * math.sin(theta)) * x
     total = 0.0
     for i in range(0, x.size, _SLAB_ROWS):
-        X = x[i:i + _SLAB_ROWS, None]
-        vals = fn(kv * X, kmuv * (X * ct + x[None, :] * st))
-        total += float(np.sum((wx[i:i + _SLAB_ROWS, None] * wx[None, :]) * vals))
+        rows = slice(i, i + _SLAB_ROWS)
+        kmudotv = kmu_rows[rows, None] + kmu_cols
+        # a pointwise function may return a (rows, 1) column or a scalar
+        vals = np.broadcast_to(fn(kv * x[rows, None], kmudotv), kmudotv.shape)
+        total += float(wx[rows] @ (vals @ wx))
     return total
 
 
@@ -205,11 +212,12 @@ def velocity_average(pointwise_fn, ensemble, k, k_mu, theta, *,
     h = 2*pi*d/(ln(1/eps) + d^2) for d = min(pole_distance, L), where
     pole_distance is the smallest natural width over the largest Doppler
     scale (math.inf when every Doppler scale vanishes).  A pole distance
-    that needs more than 8400 points per axis (d below about 0.0085) raises
-    ValueError.  With doubling_check the average is repeated at h/2 by the
-    same rule as the time-domain halving check: a relative shift above
-    1e-9 raises ConvergenceError carrying both estimates, and the finer
-    estimate is returned.
+    whose finest step needs more than 8400 points per axis raises
+    ValueError: d below about 0.0085, or 0.017 with doubling_check.  With
+    doubling_check the average is repeated at h/2 by the same rule as the
+    time-domain halving check: a relative shift above 1e-9 raises
+    ConvergenceError carrying both estimates, and the finer estimate is
+    returned.
     """
     kv = k * ensemble.vbar
     kmuv = k_mu * ensemble.vbar
@@ -218,8 +226,9 @@ def velocity_average(pointwise_fn, ensemble, k, k_mu, theta, *,
     if pole_distance is None:
         raise ValueError("pole_distance is required when a wave vector is nonzero")
     h = _trapezoid_step(pole_distance)
+    finest = 0.5 * h if doubling_check else h
     # 2*floor(L/h) + 1 points per axis; written so that d <= 0 or NaN fails too
-    if not _HALF_SPAN < 0.5 * _MAX_POINTS * h:
+    if not _HALF_SPAN < 0.5 * _MAX_POINTS * finest:
         raise ValueError(
             f"pole distance {pole_distance:.3g} is not positive or needs more "
             f"than {_MAX_POINTS} trapezoidal points per axis"
@@ -236,6 +245,28 @@ def velocity_average(pointwise_fn, ensemble, k, k_mu, theta, *,
     return _halved(run, h, 1e-9) if doubling_check else run(h)
 
 
+def _lorentzian_sum(lines):
+    """f(k.v, k_mu.v), the sum over lines (num, a2, c, M) of
+    num/(a2 + (c + M*k.v - k_mu.v)^2): each line's prefactor, weight and
+    half-width are folded into num, and its shifted detuning is a column
+    term less k_mu.v, formed, squared and divided in place on one slab."""
+    def fn(kdotv, kmudotv):
+        out = None
+        for num, a2, c, M in lines:
+            # an array even for float projections, for the in-place steps
+            x = np.asarray((c + M * kdotv) - kmudotv, dtype=float)
+            x *= x
+            x += a2
+            np.divide(num, x, out=x)
+            if out is None:
+                out = x
+            else:
+                out += x
+        return out
+
+    return fn
+
+
 def weak_pointwise(scheme, drive, probe, Omega_mu):
     """Pointwise no-interference weak-drive spectrum as f(k.v, k_mu.v).
 
@@ -246,14 +277,9 @@ def weak_pointwise(scheme, drive, probe, Omega_mu):
     gm, gn, gl = scheme.gamma_m, scheme.gamma_n, scheme.gamma_l
     Om = drive.Omega
     pref = abs(drive.G * probe.G_mu) ** 2 / Om**2
-
-    def fn(kdotv, kmudotv):
-        t1 = (1.0 / gm) * ((gl + gm) / ((gl + gm) ** 2 + (Omega_mu - kmudotv) ** 2))
-        x2 = (Omega_mu - Om) - (kmudotv - kdotv)
-        t2 = (1.0 / gn) * ((gl + gn) / ((gl + gn) ** 2 + x2**2))
-        return pref * (t1 + t2)
-
-    return fn
+    a1, a2 = gl + gm, gl + gn
+    return _lorentzian_sum(((pref / gm * a1, a1 * a1, Omega_mu, 0.0),
+                            (pref / gn * a2, a2 * a2, Omega_mu - Om, 1.0)))
 
 
 def strong_pointwise(scheme, drive, probe, Omega_mu):
@@ -269,20 +295,11 @@ def strong_pointwise(scheme, drive, probe, Omega_mu):
     M1, M2 = memory_factors(drive)
     gl = scheme.gamma_l
     pref = 2.0 * abs(drive.G * probe.G_mu) ** 2 / abs(pair.splitting) ** 2
-    terms = []
+    lines = []
     for alpha, M in ((pair.alpha1, M1), (pair.alpha2, M2)):
         a = gl + alpha.real
-        c = Omega_mu - alpha.imag
-        terms.append((1.0 / (2.0 * alpha.real), a, c, M))
-
-    def fn(kdotv, kmudotv):
-        out = 0.0
-        for wgt, a, c, M in terms:
-            x = c - (kmudotv - M * kdotv)
-            out = out + wgt * (a / (a * a + x * x))
-        return pref * out
-
-    return fn
+        lines.append((pref / (2.0 * alpha.real) * a, a * a, Omega_mu - alpha.imag, M))
+    return _lorentzian_sum(lines)
 
 
 def triplet_pointwise(scheme, drive, probe, Omega_mu):
@@ -290,16 +307,9 @@ def triplet_pointwise(scheme, drive, probe, Omega_mu):
     Gamma = scheme.gamma_sum
     G = drive.G
     Om = drive.Omega
-    comps = ((1.0, -2.0 * G), (2.0, 0.0), (1.0, 2.0 * G))
-
-    def fn(kdotv, kmudotv):
-        out = 0.0
-        for mult, shift in comps:
-            x = (Omega_mu - Om - shift) - (kmudotv - kdotv)
-            out = out + mult * (Gamma / (Gamma * Gamma + x * x))
-        return out / (4.0 * math.pi)
-
-    return fn
+    return _lorentzian_sum(tuple(
+        (mult * Gamma / (4.0 * math.pi), Gamma * Gamma, Omega_mu - Om - shift, 1.0)
+        for mult, shift in ((1.0, -2.0 * G), (2.0, 0.0), (1.0, 2.0 * G))))
 
 
 @dataclass(frozen=True)

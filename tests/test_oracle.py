@@ -26,6 +26,7 @@ from dresslines import (
     dressed_exponents,
     strong_doublet_components,
     strong_pointwise,
+    triplet_pointwise,
     velocity_average,
     voigt_density,
     w_mu_exact,
@@ -173,6 +174,10 @@ def test_velocity_average_polynomial_moments():
     got = velocity_average(lambda kv, kmuv: kv * kmuv, ENS, 2.0, 3.0, math.pi / 3,
                            pole_distance=inf)
     assert got == pytest.approx(2.0 * 3.0 * 0.5 / 2, rel=1e-13)
+    # on the 2-D path kv**2 is a (rows, 1) column: it must broadcast to the slab
+    got = velocity_average(lambda kv, kmuv: kv**2, ENS, 2.0, 3.0, math.pi / 3,
+                           pole_distance=inf)
+    assert got == pytest.approx(2.0**2 / 2, rel=1e-13)
 
 
 def test_velocity_average_collinear_consistency():
@@ -224,6 +229,30 @@ def test_velocity_average_node_resolution_errors():
     for d in (0.008, 0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="pole distance"):
             velocity_average(fn, ENS, 1.0, 1.0, 0.0, pole_distance=d)
+    # d = 0.009 needs 7909 points per axis at h, but 15817 at the h/2 that
+    # doubling_check runs
+    with pytest.raises(ValueError, match="pole distance"):
+        velocity_average(fn, ENS, 0.0, 1.0, 0.0, pole_distance=0.009, doubling_check=True)
+    assert velocity_average(fn, ENS, 0.0, 1.0, 0.0, pole_distance=0.009) == pytest.approx(1.0)
+
+
+def test_slab_sum_matches_full_tensor_sum():
+    # The whole-grid tensor sum, with no slabs, against the slab-by-slab
+    # contraction, on an axis that ends in a partial slab.
+    drive = DriveField(G=3.0, Omega=4.0, k=2.0)
+    probe = ProbeField(G_mu=1e-3, k_mu=3.0, theta=1.1)
+    kv, kmuv, theta = drive.k * ENS.vbar, probe.k_mu * ENS.vbar, probe.theta
+    h = oracle._trapezoid_step(0.3)
+    x, wx = oracle._trapezoid_points(h)
+    assert x.size > oracle._SLAB_ROWS and x.size % oracle._SLAB_ROWS != 0
+    X, Y = x[:, None], x[None, :]
+    for build in (weak_pointwise, strong_pointwise, triplet_pointwise):
+        fn = build(SCHEME, drive, probe, 1.5)
+        full = np.sum(np.outer(wx, wx)
+                      * fn(kv * X, kmuv * (X * math.cos(theta) + Y * math.sin(theta))))
+        assert oracle._average_2d(fn, kv, kmuv, theta, h) == pytest.approx(full, rel=1e-14)
+        # the pointwise builders still take float projections
+        assert fn(0.3, -0.2) == fn(np.array([0.3]), np.array([-0.2]))[0]
 
 
 def test_weak_pointwise_average_matches_closed_form():
