@@ -367,10 +367,10 @@ def run_spectrum_job(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
                           s_mu * np.asarray(x, dtype=float))
 
     resolved = doublet_resolved(pair, cfg.scheme.gamma_l)
-    centers = sorted([s_mu * pair.alpha1.imag, s_mu * pair.alpha2.imag])
+    lines = [_Line("dressed1", s_mu * pair.alpha1.imag),
+             _Line("dressed2", s_mu * pair.alpha2.imag)]
     return _write_line(
-        cfg, out_dir, base, fmt, density,
-        [_Line(f"dressed{i + 1}", c) for i, c in enumerate(centers)] if resolved else [],
+        cfg, out_dir, base, fmt, density, lines if resolved else [],
         regime_ratios={"G_over_weak_scale": weak_field_ratio(cfg.scheme, signed_drive)},
         doublet_resolved=bool(resolved),
         notes={"unit_convention": UNIT_NOTE,

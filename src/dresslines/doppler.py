@@ -9,7 +9,9 @@ wave vector times the thermal speed.  The effective wave vector
 
 interpolates between a stepwise line (M = 0, full probe Doppler width
 k_mu*vbar) and a fully correlated two-photon line (M = 1, width |k_mu - k|
-vbar, vanishing for forward observation at k_mu = k).
+vbar, vanishing for forward observation at k_mu = k).  The three family
+builders write their lines as tables, and one constructor gives each
+component the Doppler scale q(M, theta)*vbar of its own memory fraction.
 
 Every profile is the real part of the Faddeeva function w(z), from the
 package's own numpy kernel in faddeeva.py.
@@ -38,11 +40,12 @@ from .model import (
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_LN2 = math.sqrt(math.log(2.0))
+_SCALAR = (int, float)  # np.float64 is a float
 
 
 def effective_q(k: float, k_mu: float, theta: float, M: float) -> float:
     """Effective wave vector controlling one component's Doppler width."""
-    if k < 0 or k_mu < 0:
+    if not k >= 0 or not k_mu >= 0:
         raise ValueError("k and k_mu must be >= 0")
     if not 0.0 <= theta <= math.pi:
         raise ValueError("theta must lie in [0, pi]")
@@ -56,24 +59,25 @@ def voigt_density(natural_halfwidth, detuning, doppler_scale):
 
     Normalized so the area over detuning is pi, matching the bare Lorentzian
     a/(a**2 + x**2).  doppler_scale = 0 returns that Lorentzian exactly.
-    Vectorized over detuning; a float detuning (np.float64 included) returns
-    a Python float, bit-identical to the array path at any finite detuning.
-    natural_halfwidth and doppler_scale may be arrays that broadcast against
-    an array detuning, such as one (k, 1) row per component of a (k, n)
-    detuning, so that one call evaluates k components.
+    Vectorized over detuning; three scalar arguments (int, float or
+    np.float64) return a Python float, bit-identical to the array path at
+    any finite detuning.  Any of the three may be an array, and they
+    broadcast against each other, such as one (k, 1) row per component
+    against a (k, n) detuning, so that one call evaluates k components.
     """
-    if isinstance(detuning, float):
+    if (isinstance(natural_halfwidth, _SCALAR) and isinstance(detuning, _SCALAR)
+            and isinstance(doppler_scale, _SCALAR)):
         a, s = float(natural_halfwidth), float(doppler_scale)
         if not a > 0:
             raise ValueError("natural_halfwidth must be > 0")
-        if s < 0:
+        if not s >= 0:
             raise ValueError("doppler_scale must be >= 0")
         return _voigt(a, float(detuning), s)
     a = np.asarray(natural_halfwidth, dtype=float)
     s = np.asarray(doppler_scale, dtype=float)
     if not (a > 0).all():
         raise ValueError("natural_halfwidth must be > 0")
-    if (s < 0).any():
+    if not (s >= 0).all():
         raise ValueError("doppler_scale must be >= 0")
     return elementwise(_voigt, _voigt_block, a, detuning, s)
 
@@ -149,6 +153,19 @@ def _block_sum(components, x):
     return reduce(add, [c.weight * row for c, row in zip(components, rows)])
 
 
+def _components(drive, probe, ensemble, theta, lines):
+    """The DopplerComponents of a line table.
+
+    Each line (label, center, natural half-width, weight, memory M) gets the
+    Doppler scale q(M, theta)*vbar of its own memory fraction, with the drive
+    and probe wave vectors and the ensemble's thermal speed.
+    """
+    return [DopplerComponent(label, center, halfwidth,
+                             effective_q(drive.k, probe.k_mu, theta, M) * ensemble.vbar,
+                             weight, M)
+            for label, center, halfwidth, weight, M in lines]
+
+
 def weak_doublet_components(
     scheme: LevelScheme,
     drive: DriveField,
@@ -163,26 +180,10 @@ def weak_doublet_components(
         raise RegimeError("weak-drive doublet undefined at Omega = 0")
     gm, gn, gl = scheme.gamma_m, scheme.gamma_n, scheme.gamma_l
     pref = abs(drive.G * probe.G_mu) ** 2 / Om_s**2
-    q_step = effective_q(drive.k, probe.k_mu, theta_eff, 0.0)
-    q_raman = effective_q(drive.k, probe.k_mu, theta_eff, 1.0)
-    return [
-        DopplerComponent(
-            label="stepwise",
-            center=0.0,
-            natural_halfwidth=gl + gm,
-            doppler_scale=q_step * ensemble.vbar,
-            weight=pref / gm,
-            memory=0.0,
-        ),
-        DopplerComponent(
-            label="raman",
-            center=s_mu * Om_s,
-            natural_halfwidth=gl + gn,
-            doppler_scale=q_raman * ensemble.vbar,
-            weight=pref / gn,
-            memory=1.0,
-        ),
-    ]
+    return _components(drive, probe, ensemble, theta_eff, [
+        ("stepwise", 0.0, gl + gm, pref / gm, 0.0),
+        ("raman", s_mu * Om_s, gl + gn, pref / gn, 1.0),
+    ])
 
 
 def doppler_weak_doublet(
@@ -251,20 +252,11 @@ def strong_doublet_components(
         )
     M1, M2 = memory_factors(signed_drive)
     pref = 2.0 * abs(drive.G * probe.G_mu) ** 2 / abs(pair.splitting) ** 2
-    comps = []
-    for j, (alpha, M) in enumerate(((pair.alpha1, M1), (pair.alpha2, M2)), start=1):
-        qj = effective_q(drive.k, probe.k_mu, theta_eff, M)
-        comps.append(
-            DopplerComponent(
-                label=f"dressed{j}",
-                center=s_mu * alpha.imag,
-                natural_halfwidth=scheme.gamma_l + alpha.real,
-                doppler_scale=qj * ensemble.vbar,
-                weight=pref / (2.0 * alpha.real),
-                memory=M,
-            )
-        )
-    return comps
+    return _components(drive, probe, ensemble, theta_eff, [
+        (f"dressed{j}", s_mu * alpha.imag, scheme.gamma_l + alpha.real,
+         pref / (2.0 * alpha.real), M)
+        for j, (alpha, M) in enumerate(((pair.alpha1, M1), (pair.alpha2, M2)), start=1)
+    ])
 
 
 def doppler_strong_doublet(
@@ -299,25 +291,12 @@ def triplet_components(
     """
     if drive.G <= 0:
         raise RegimeError("triplet requires a nonzero drive")
-    Gamma = scheme.gamma_sum
-    scale = effective_q(drive.k, probe.k_mu, probe.theta, 1.0) * ensemble.vbar
-    comps = []
-    for mult, shift, label in (
-        (1.0, -2.0 * drive.G, "side_low"),
-        (2.0, 0.0, "center"),
-        (1.0, +2.0 * drive.G, "side_high"),
-    ):
-        comps.append(
-            DopplerComponent(
-                label=label,
-                center=drive.Omega + shift,
-                natural_halfwidth=Gamma,
-                doppler_scale=scale,
-                weight=mult / (4.0 * math.pi),
-                memory=1.0,
-            )
-        )
-    return comps
+    return _components(drive, probe, ensemble, probe.theta, [
+        (label, drive.Omega + shift, scheme.gamma_sum, mult / (4.0 * math.pi), 1.0)
+        for mult, shift, label in ((1.0, -2.0 * drive.G, "side_low"),
+                                   (2.0, 0.0, "center"),
+                                   (1.0, +2.0 * drive.G, "side_high"))
+    ])
 
 
 def fluorescence_triplet(scheme, drive, probe, ensemble, Omega_mu):

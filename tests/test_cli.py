@@ -61,7 +61,7 @@ def test_spectrum_job_outputs(tmp_path):
     assert summary["job"] == "spectrum"
     assert summary["doublet_resolved"] is True
     labels = [c["label"] for c in summary["components"]]
-    assert labels == ["dressed1", "dressed2"]
+    assert labels == ["dressed2", "dressed1"]
     # overlapping tails pull the two maxima slightly inward, so compare
     # against the dressed splitting only at the few-percent level
     centers = [c["center"] for c in summary["components"]]

@@ -95,6 +95,10 @@ def test_effective_q_domain():
         effective_q(1.0, 1.0, 4.0, 0.5)
     with pytest.raises(ValueError):
         effective_q(1.0, 1.0, 1.0, 1.5)
+    for args in ((math.nan, 1.0, 0.5, 0.5), (1.0, math.nan, 0.5, 0.5),
+                 (1.0, 1.0, math.nan, 0.5), (1.0, 1.0, 0.5, math.nan)):
+        with pytest.raises(ValueError):
+            effective_q(*args)
 
 
 def test_voigt_density_lorentzian_branch():
@@ -116,6 +120,14 @@ def test_voigt_density_limits():
     gau = (SQRT_PI / s) * np.exp(-((xs / s) ** 2))
     dev = np.max(np.abs(voigt_density(a, xs, s) - gau)) / (SQRT_PI / s)
     assert dev < 0.01
+
+
+def test_voigt_density_scalar_detuning_with_array_widths():
+    a, s = np.array([1.0, 2.0]), np.array([0.0, 3.0])
+    for x in (0.5, np.array(0.5)):
+        for got, want in ((voigt_density(a, x, 1.0), [voigt_density(v, 0.5, 1.0) for v in a]),
+                          (voigt_density(1.0, x, s), [voigt_density(1.0, 0.5, v) for v in s])):
+            assert got.tolist() == want
 
 
 def test_voigt_density_area_is_pi():
@@ -309,6 +321,46 @@ def test_process_kind_mirror_identities(G, Omega, Omega_sign, k, k_mu, theta):
             got = components(SCHEME, drive, probe, ENS, kind)
             ref = components(SCHEME, ref_drive, ref_probe, ENS)
             assert got == [dataclasses.replace(c, center=s_mu * c.center) for c in ref]
+
+
+# Distinct k and k_mu at an oblique angle, so that each memory fraction and
+# each effective angle gives its own Doppler scale.
+SCALED_DRIVE = DriveField(G=3.0, Omega=40.0, k=7.0)
+SCALED_PROBE = ProbeField(G_mu=1e-3, k_mu=5.0, theta=0.9)
+
+
+@pytest.mark.parametrize("vbar", [0.25, 4.0])
+@pytest.mark.parametrize("kind", list(ProcessKind), ids=lambda kind: kind.name.lower())
+def test_doppler_scale_is_q_of_own_memory_times_vbar(kind, vbar):
+    s, s_mu = KIND_SIGNS[kind]
+    theta = SCALED_PROBE.theta
+    theta_eff = theta if s == s_mu else math.pi - theta
+    ens = ThermalEnsemble(vbar=vbar)
+    families = [
+        (weak_doublet_components(SCHEME, SCALED_DRIVE, SCALED_PROBE, ens, kind), theta_eff),
+        (strong_doublet_components(SCHEME, SCALED_DRIVE, SCALED_PROBE, ens, kind), theta_eff),
+        (triplet_components(SCHEME, SCALED_DRIVE, SCALED_PROBE, ens), theta),
+    ]
+    for comps, angle in families:
+        for c in comps:
+            q = effective_q(SCALED_DRIVE.k, SCALED_PROBE.k_mu, angle, c.memory)
+            assert c.doppler_scale == q * vbar
+
+
+@pytest.mark.parametrize("c", [0.25, 3.0])
+def test_averaged_families_depend_on_k_times_vbar_only(c):
+    drive = dataclasses.replace(SCALED_DRIVE, k=c * SCALED_DRIVE.k)
+    probe = dataclasses.replace(SCALED_PROBE, k_mu=c * SCALED_PROBE.k_mu)
+    ens = ThermalEnsemble(vbar=1.0 / c)
+    xs = np.linspace(-60.0, 60.0, 41)
+    for kind in ProcessKind:
+        for family in (doppler_weak_doublet, doppler_strong_doublet):
+            ref = family(SCHEME, SCALED_DRIVE, SCALED_PROBE, ENS, xs, kind)
+            assert np.allclose(family(SCHEME, drive, probe, ens, xs, kind), ref,
+                               rtol=1e-13, atol=0.0)
+    ref = fluorescence_triplet(SCHEME, SCALED_DRIVE, SCALED_PROBE, ENS, xs)
+    assert np.allclose(fluorescence_triplet(SCHEME, drive, probe, ens, xs), ref,
+                       rtol=1e-13, atol=0.0)
 
 
 def test_triplet_components_and_areas():

@@ -128,3 +128,5 @@ def test_batched_density_sum_is_the_per_element_float_sum(comps, lo, width, n):
 def test_negative_doppler_scale_is_rejected_on_both_paths(x):
     with pytest.raises(ValueError, match="doppler_scale must be >= 0"):
         voigt_density(1.0, x, -1e-3)
+    with pytest.raises(ValueError, match="doppler_scale must be >= 0"):
+        voigt_density(1.0, x, math.nan)

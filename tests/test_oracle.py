@@ -361,6 +361,17 @@ def test_certify_every_id_in_regime(cid, params, tol, keys, measure):
     assert report.max_rel_dev <= tol
 
 
+@pytest.mark.parametrize("cid, params, tol", [case[:3] for case in IN_REGIME
+                                              if case[0] in ("eq3_2", "eq4_2", "eq5_2")],
+                         ids=["eq3_2", "eq4_2", "eq5_2"])
+def test_certify_velocity_route_follows_k_times_vbar(cid, params, tol):
+    # A quarter of each wave vector at four times the speed: the same Doppler
+    # scales, so the closed form and the velocity route must still agree.
+    scaled = {**params, "k": params["k"] / 4.0, "k_mu": params["k_mu"] / 4.0, "vbar": 4.0}
+    report = certify(cid, scaled, tol)
+    assert report.passed and report.regime_ok
+
+
 @pytest.mark.parametrize("cid, params, tol, need, measure", [
     ("eq2_7", {"omega_mu_count": 3}, 1e-4,
      "weak-drive expansion needs G/|Omega - i(gamma_n-gamma_m)| <= 0.01",
