@@ -20,6 +20,7 @@ package's own numpy kernel in faddeeva.py.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add
@@ -216,17 +217,23 @@ def weak_doublet_gaussian(
 
     Valid when every Doppler scale far exceeds the natural widths; provided
     for regime studies and certified against the full form at the percent
-    level in its domain.
+    level in its domain.  A float Omega_mu returns a Python float; an array
+    goes through faddeeva.elementwise, block by block.
     """
     comps = weak_doublet_components(scheme, drive, probe, ensemble, kind)
-    x = np.asarray(Omega_mu, dtype=float)
-    out = np.zeros_like(x)
-    for c in comps:
-        if c.doppler_scale == 0.0:
-            raise RegimeError("Gaussian form undefined for a zero Doppler scale")
+    if any(c.doppler_scale == 0.0 for c in comps):
+        raise RegimeError("Gaussian form undefined for a zero Doppler scale")
+    gaussians = partial(_gaussian_sum, comps)
+    return elementwise(lambda x: float(gaussians(x)), gaussians, Omega_mu)
+
+
+def _gaussian_sum(components, x):
+    """The components as pure Gaussians, at a Python float or a 1-D array x."""
+    out = 0.0
+    for c in components:
         u = (x - c.center) / c.doppler_scale
         out = out + c.weight * (_SQRT_PI / c.doppler_scale) * np.exp(-(u * u))
-    return out if out.shape else float(out)
+    return out
 
 
 def strong_doublet_components(
@@ -330,7 +337,7 @@ def triplet_regime_ratios(scheme, drive, ensemble) -> dict:
 # The constants of scipy's Brent routines, which the ports below follow.
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_RTOL = 4.0 * np.finfo(float).eps
+_RTOL = 4.0 * sys.float_info.epsilon
 
 
 def _brent_minimize(f, a: float, b: float, xatol: float) -> float:
@@ -440,7 +447,9 @@ def _brent_root(f, xa: float, xb: float, xtol: float) -> float:
             else:  # inverse quadratic
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)  # cubic in f: 0 once |f| < ~1e-100
+                # where it underflows, brentq.c's quotient is inf or nan, and it bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

@@ -68,6 +68,22 @@ def test_spectrum_job_outputs(tmp_path):
     assert centers[1] - centers[0] == pytest.approx(math.hypot(3.0, 16.0), rel=0.04)
 
 
+def test_tiny_probe_coupling_measures_the_golden_spectrum(tmp_path):
+    # w scales as G_mu**2, so at G_mu = 1e-150 the golden line shape is
+    # measured near 1e-300, where Brent's interpolation step underflows
+    golden = json.loads((Path(__file__).parent / "golden" / "spectrum_golden.json").read_text())
+    runs = {}
+    for stem, G_mu in (("usual", 1e-3), ("tiny", 1e-150)):
+        path = write_config(tmp_path, f"{stem}.json", dict(golden, probe={"G_mu": G_mu}))
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 0
+        runs[stem] = json.loads((tmp_path / f"{stem}_summary.json").read_text())["components"]
+    assert len(runs["tiny"]) == len(runs["usual"]) == 2
+    for tiny, usual in zip(runs["tiny"], runs["usual"]):
+        assert tiny["center"] == pytest.approx(usual["center"], rel=1e-8)
+        assert tiny["fwhm"] == pytest.approx(usual["fwhm"], rel=1e-8)
+        assert tiny["area"] / 1e-300 == pytest.approx(usual["area"] / 1e-6, rel=1e-12)
+
+
 def test_spectrum_unresolved_reports_total(tmp_path):
     cfg = spectrum_config(drive={"G": 0.3, "Omega": 0.5})
     cfg_path = write_config(tmp_path, "soft.json", cfg)
@@ -556,6 +572,10 @@ def certify_config(**section):
     ("certify", certify_config(ids=["eq2_6"], tolerance=1e-6,
                                parameters={"omega_mu_count": 10**15}),
      "Unable to allocate"),
+    ("spectrum", [spectrum_config()], "must be a JSON object"),
+    ("spectrum", spectrum_config(scheme=[]), "config section 'scheme' must be an object"),
+    ("certify", certify_config(ids=["eq2_6"], tolerance=1e-6, parameters=[]),
+     "certify parameters for 'eq2_6' must be objects"),
 ], ids=["theta-not-a-number", "thetas-not-a-list", "tolerance-not-a-number",
         "unknown-parameter", "empty-grid", "ids-not-a-list", "label-object",
         "label-number", "grid-max-infinity", "parameter-minus-infinity",
@@ -563,7 +583,8 @@ def certify_config(**section):
         "grid-min-string", "drive-G-bool", "parameter-count-float",
         "parameter-G-bool", "parameter-vbar-bool", "parameter-rtol-unknown",
         "probe-Omega_mu", "scheme-omega_mn",
-        "scan-without-thetas", "grid-count-too-large", "parameter-count-too-large"])
+        "scan-without-thetas", "grid-count-too-large", "parameter-count-too-large",
+        "top-level-array", "scheme-array", "parameters-array"])
 def test_malformed_configs_exit_2_with_one_error_line(tmp_path, capsys, job, cfg, message):
     path = write_config(tmp_path, "malformed.json", cfg)
     assert main([job, "--config", str(path), "--out", str(tmp_path)]) == 2

@@ -23,6 +23,7 @@ from dresslines import (
     voigt_density,
     w_mu_exact,
     w_mu_weak,
+    weak_doublet_gaussian,
     wofz,
 )
 from dresslines.doppler import (
@@ -38,6 +39,8 @@ DRIVE = DriveField(G=3.0, Omega=4.0, k=2.0)
 WEAK_DRIVE = DriveField(G=0.01, Omega=4.0, k=2.0)
 PROBE = ProbeField(G_mu=1.0, k_mu=2.5, theta=0.3)
 ENSEMBLE = ThermalEnsemble(vbar=1.0)
+# Doppler scales of 25 and about 8, both nonzero, for the pure-Gaussian form
+HOT = ThermalEnsemble(vbar=10.0)
 
 LORENTZIAN = [DopplerComponent(label="c", center=1.5, natural_halfwidth=0.7,
                                doppler_scale=0.0, weight=2.0, memory=0.0)]
@@ -82,6 +85,7 @@ FORMS = {
     "voigt_density": lambda x: voigt_density(0.7, x, 1.3),
     "voigt_density_rows": voigt_rows,
     "wofz": wofz_form,
+    "weak_doublet_gaussian": lambda x: weak_doublet_gaussian(SCHEME, DRIVE, PROBE, HOT, x),
 }
 # each element's own float call, where it is not the form at that float
 FLOAT_CALLS = {"voigt_density_rows": voigt_rows_floats}
@@ -111,6 +115,7 @@ DENSE = {
     "doppler_weak_doublet": lambda x: doppler_weak_doublet(SCHEME, DRIVE, PROBE, ENSEMBLE, x),
     "doppler_strong_doublet": lambda x: doppler_strong_doublet(SCHEME, DRIVE, PROBE, ENSEMBLE, x),
     "fluorescence_triplet": lambda x: fluorescence_triplet(SCHEME, DRIVE, PROBE, ENSEMBLE, x),
+    "weak_doublet_gaussian": FORMS["weak_doublet_gaussian"],
 }
 
 

@@ -191,6 +191,28 @@ def test_weak_doublet_gaussian_regime():
     assert np.max(np.abs(f - g)) / np.max(f) < 0.01
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: triplet_components(SCHEME, DriveField(G=0.0, Omega=1.0, k=6.0),
+                                ProbeField(G_mu=1e-3, k_mu=6.0, theta=0.4), ENS),
+     RegimeError, "triplet requires a nonzero drive"),
+    # k = k_mu forward: the Raman component has no Doppler width
+    (lambda: weak_doublet_gaussian(SCHEME, DriveField(G=1.0, Omega=500.0, k=30.0),
+                                   ProbeField(G_mu=1e-3, k_mu=30.0, theta=0.0), ENS,
+                                   np.linspace(-50.0, 550.0, 101)),
+     RegimeError, "Gaussian form undefined for a zero Doppler scale"),
+    (lambda: integrated_intensity(lambda x: 1.0 / (1.0 + np.asarray(x) ** 2),
+                                  (1.0, 1.0), (1.0, 0.5), 1.0),
+     ValueError, "window must satisfy hi > lo"),
+    (lambda: integrated_intensity(lambda x: 1.0 / (1.0 + np.asarray(x) ** 2),
+                                  (2.0, -2.0), (0.0, 1.0), 1.0),
+     ValueError, "window must satisfy hi > lo"),
+], ids=["triplet-without-drive", "gaussian-zero-doppler-scale", "intensity-empty-window",
+        "intensity-reversed-window"])
+def test_refusals_outside_the_domain(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_strong_doublet_centers_and_separation():
     drive = DriveField(G=40.0, Omega=3.0, k=8.0)
     probe = ProbeField(G_mu=1e-3, k_mu=8.0, theta=0.9)

@@ -11,6 +11,7 @@ the generic measures and with 50-digit half-maximum crossings.
 """
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -23,7 +24,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from dresslines import cli
 from dresslines import doppler as dop
-from dresslines.doppler import DopplerComponent, density_sum, find_peak, fwhm
+from dresslines.doppler import DopplerComponent, density_sum, find_peak, fwhm, voigt_density
 
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
 
@@ -115,6 +116,47 @@ def test_fwhm_matches_scipy_bit_for_bit(comps, margin, narrow):
             fwhm(f, lo, hi, peak)
         return
     assert (fwhm(f, lo, hi, peak), *peak) == expect
+
+
+@pytest.mark.parametrize("k", [0, 500, 990])
+def test_fwhm_of_a_tiny_density_matches_scipy_bit_for_bit(k):
+    # from 2^-500 on, the inverse-quadratic step's denominator, cubic in f,
+    # underflows to 0; brentq.c's quotient is then inf or nan, and it bisects
+    comps = [component(0.0, 1.0, 2.0, 1.0), component(7.0, 0.5, 1.0, 0.6)]
+    f = lambda x: 2.0**-k * density_sum(comps, x)
+    peak = find_peak(f, -20.0, 30.0)
+    assert (fwhm(f, -20.0, 30.0, peak), *peak) == reference_fwhm(f, -20.0, 30.0)
+
+
+def test_fwhm_calls_its_density_on_python_floats():
+    # Brent's tolerance is a Python float, so its steps leave no numpy scalar
+    seen = []
+
+    def f(x):
+        seen.append(type(x))
+        return voigt_density(0.7, x, 1.3)
+
+    fwhm(f, -10.0, 10.0, find_peak(f, -10.0, 10.0))
+    assert set(seen) == {np.ndarray, float}
+
+
+def test_find_peak_on_a_one_point_window():
+    f = lambda x: 1.0 / (1.0 + np.asarray(x) ** 2)
+    assert find_peak(f, 1.0, 1.0) == (1.0, 0.5) == reference_find_peak(f, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("root", [-1.0, 2.0], ids=["left", "right"])
+def test_brent_root_returns_an_endpoint_where_f_vanishes(root):
+    f = lambda x: x - root
+    assert dop._brent_root(f, -1.0, 2.0, xtol=1e-12) == root == brentq(f, -1.0, 2.0)
+
+
+def test_brent_root_refuses_a_bracket_without_a_sign_change():
+    f = lambda x: x * x + 1.0
+    with pytest.raises(ValueError) as scipy_error:
+        brentq(f, -1.0, 2.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(scipy_error.value))}$"):
+        dop._brent_root(f, -1.0, 2.0, xtol=1e-12)
 
 
 def test_fwhm_tests_the_window_edge_its_march_steps_past():
@@ -271,6 +313,13 @@ def mp_voigt_fwhm(a, s):
 def test_voigt_fwhm_matches_50_digit_crossings(ratio, s):
     a = ratio * s
     assert dop.voigt_fwhm(a, s) == pytest.approx(float(mp_voigt_fwhm(a, s)), rel=1e-13)
+
+
+@pytest.mark.parametrize("s", [1e290, 1e300])
+def test_voigt_fwhm_of_a_huge_doppler_scale_is_gaussian(s):
+    # V(0) is near 1/s, so every Brent step's interpolation underflows
+    assert dop.voigt_fwhm(1.0, s) == pytest.approx(2.0 * s * math.sqrt(math.log(2.0)),
+                                                   rel=1e-15)
 
 
 def test_voigt_fwhm_of_a_lorentzian_is_twice_its_halfwidth():

@@ -43,6 +43,13 @@ def test_field_validation():
         LevelScheme(gamma_m=1.0, gamma_n=True, gamma_l=1.0)
 
 
+@pytest.mark.parametrize("field", [{"G_mu": -1e-3}, {"G_mu": 1e-3, "k_mu": -2.0}],
+                         ids=["G_mu", "k_mu"])
+def test_probe_field_refuses_a_negative_coupling_or_wave_vector(field):
+    with pytest.raises(ValueError):
+        ProbeField(**field)
+
+
 def test_vbar_roundtrip():
     # Ne-20 mass at room temperature; frozen 50-digit reference.
     m = 3.3509e-26

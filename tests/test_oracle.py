@@ -279,6 +279,14 @@ def test_strong_pointwise_average_matches_closed_form():
         assert closed == pytest.approx(ref, rel=1e-9)
 
 
+def test_strong_pointwise_refuses_a_confluent_pair():
+    # |gamma_n - gamma_m| = 2G at Omega = 0: the dressed exponents coincide
+    scheme = LevelScheme(gamma_m=1.0, gamma_n=3.0, gamma_l=0.5)
+    drive = DriveField(G=1.0, Omega=0.0, k=1.0)
+    with pytest.raises(RegimeError, match="degenerate dressed pair"):
+        strong_pointwise(scheme, drive, ProbeField(G_mu=1e-3, k_mu=1.0, theta=1.0), 0.0)
+
+
 @pytest.mark.parametrize("d", [0.05, 0.011])
 def test_weak_doublet_2d_average_at_small_pole_distance(d):
     # Equal wave vectors at right angles: the correlated scale sqrt(2)*k
