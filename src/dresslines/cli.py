@@ -253,11 +253,9 @@ def _sanitize(obj):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (bool, str, int)) or obj is None:
         return obj
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         x = float(obj)
         return x if math.isfinite(x) else None
-    if isinstance(obj, np.integer):
-        return int(obj)
     raise TypeError(f"unserializable value {obj!r}")
 
 
@@ -363,8 +361,7 @@ def run_spectrum_job(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
     pair = dressed_exponents(cfg.scheme, signed_drive)
 
     def density(x):
-        return w_mu_exact(cfg.scheme, signed_drive, cfg.probe,
-                          s_mu * np.asarray(x, dtype=float))
+        return w_mu_exact(cfg.scheme, signed_drive, cfg.probe, s_mu * x)
 
     resolved = doublet_resolved(pair, cfg.scheme.gamma_l)
     lines = [_Line("dressed1", s_mu * pair.alpha1.imag),

@@ -159,12 +159,18 @@ def _components(drive, probe, ensemble, theta, lines):
 
     Each line (label, center, natural half-width, weight, memory M) gets the
     Doppler scale q(M, theta)*vbar of its own memory fraction, with the drive
-    and probe wave vectors and the ensemble's thermal speed.
+    and probe wave vectors and the ensemble's thermal speed.  A nonzero
+    scale without a finite reciprocal raises RegimeError naming its line.
     """
-    return [DopplerComponent(label, center, halfwidth,
-                             effective_q(drive.k, probe.k_mu, theta, M) * ensemble.vbar,
-                             weight, M)
-            for label, center, halfwidth, weight, M in lines]
+    comps = [DopplerComponent(label, center, halfwidth,
+                              effective_q(drive.k, probe.k_mu, theta, M) * ensemble.vbar,
+                              weight, M)
+             for label, center, halfwidth, weight, M in lines]
+    for c in comps:
+        s = c.doppler_scale
+        if s and not (math.isfinite(s) and math.isfinite(1.0 / s)):
+            raise RegimeError(f"{c.label}: Doppler scale {s!r} has no finite reciprocal")
+    return comps
 
 
 def weak_doublet_components(
@@ -249,7 +255,9 @@ def strong_doublet_components(
     has natural half-width gamma_l + Re(alpha_j), Doppler scale q_j*vbar
     with memory weight M_j, and statistical weight 1/(2*Re(alpha_j)); the
     common prefactor 2|G*G_mu|^2/|alpha_1-alpha_2|^2 is folded in.  In the
-    weak-drive limit this reduces exactly to the stepwise/Raman pair.
+    weak-drive limit the weights carry |Omega - i*(gamma_n - gamma_m)|^2
+    where the stepwise/Raman pair has Omega^2, so the two agree only for
+    |Omega| >> |gamma_n - gamma_m|.
     """
     signed_drive, s_mu, theta_eff = apply_process_signs(kind, drive, probe.theta)
     pair = dressed_exponents(scheme, signed_drive)
@@ -532,8 +540,6 @@ def find_peak(f, lo: float, hi: float):
     i = int(np.argmax(ys))
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, _PEAK_GRID - 1)])
-    if a == b:
-        return a, float(ys[i])
     x0 = _brent_minimize(lambda x: -float(f(x)), a, b,
                          xatol=1e-12 * max(abs(a), abs(b), 1.0))
     return x0, float(f(x0))

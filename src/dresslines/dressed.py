@@ -62,7 +62,7 @@ def dressed_exponents(scheme: LevelScheme, drive: DriveField) -> DressedPair:
         S = sqrt(G**2 + ((Omega - i*gamma_diff)/2)**2)
 
     with the principal branch of the square root, then swaps to enforce the
-    labeling convention.
+    labeling convention.  Raises RegimeError where a pair is not finite.
     """
     G = drive.G
     Omega = drive.Omega
@@ -73,6 +73,8 @@ def dressed_exponents(scheme: LevelScheme, drive: DriveField) -> DressedPair:
     S = cmath.sqrt(G * G + (0.5 * (Omega - 1j * gd)) ** 2)
     a = half - 1j * S
     b = half + 1j * S
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise RegimeError("dressed exponents are not finite: the rates leave the float range")
 
     if (a.imag, -a.real) < (b.imag, -b.real):
         a, b = b, a

@@ -141,12 +141,11 @@ def w_mu_weak(scheme, drive, probe, Omega_mu):
     the two imaginary parts are taken as one term, whose 1/x tails cancel
     in its numerator, not between two rounded terms, so the far wings keep
     their relative accuracy; beyond |x| = 1.3e154, where x**2 overflows,
-    the density reads 0.  A float Omega_mu returns a Python float,
-    bit-identical to the array path; an array goes through
-    faddeeva.elementwise.  The formula is evaluated regardless of regime;
-    callers judge validity through the breakdown's coupling_ratio.  Raises
-    RegimeError only where the expression itself is singular (gamma_m =
-    gamma_n and Omega = 0).
+    the density reads 0.  Omega_mu goes through faddeeva.elementwise, so a
+    float returns a Python float, bit-identical to the array path.  The
+    formula is evaluated regardless of regime; callers judge validity
+    through the breakdown's coupling_ratio.  Raises RegimeError only where
+    the expression itself is singular (gamma_m = gamma_n and Omega = 0).
     """
     gm, gn, gl = scheme.gamma_m, scheme.gamma_n, scheme.gamma_l
     Om = drive.Omega
@@ -171,8 +170,6 @@ def w_mu_weak(scheme, drive, probe, Omega_mu):
         coupling_ratio=weak_field_ratio(scheme, drive),
     )
     k = (Om, gl + gm, gl + gn, breakdown.stepwise, breakdown.raman)
-    if isinstance(Omega_mu, float):
-        return _weak(float(Omega_mu), k), breakdown
     form = partial(_weak, k=k)
     return elementwise(form, form, Omega_mu), breakdown
 

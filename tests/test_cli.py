@@ -439,6 +439,13 @@ def test_certify_prints_verdict_lines(tmp_path, capsys):
     assert "PASS eq4_2" in out and "regime_ok=True" in out
 
 
+def test_certify_job_above_tolerance_exits_1_and_prints_fail(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, "tight.json",
+                            certify_config(ids=["eq2_6"], tolerance=1e-300))
+    assert main(["certify", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert "FAIL eq2_6" in capsys.readouterr().out
+
+
 def test_regime_failure_exit_code(tmp_path):
     cfg = doppler_config(drive={"G": 1.0, "Omega": 0.0, "k": 20.0})
     cfg_path = write_config(tmp_path, "zero.json", cfg)
@@ -670,11 +677,19 @@ def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys, where):
     ("certify", certify_config(ids=["eq3_2"], tolerance=1e-6,
                                parameters={"k": 1000.0, "k_mu": 900.0, "theta": 0.5,
                                            "omega_mu_count": 1})),
+    ("spectrum", spectrum_config(scheme={**SCHEME, "gamma_m": 1.7e308},
+                                 drive={"G": 3.0, "Omega": 4.0})),
+    ("doublet", doppler_config(job="doublet", scheme={**SCHEME, "gamma_m": 1.7e308},
+                               drive={"G": 3.0, "Omega": 4.0, "k": 4.0})),
+    ("scan", {**scan_config([0.5, 1.0]), "ensemble": {"vbar": 5e-324}}),
+    ("scan", {**scan_config([0.5, 1.0]), "ensemble": {"vbar": 1.7e308}}),
 ], ids=["spectrum-Omega-1e200", "spectrum-gammas-1e-300", "doppler-k-1e200",
-        "doublet-G-1e200", "certify-pole-distance-0.00167"])
+        "doublet-G-1e200", "certify-pole-distance-0.00167", "spectrum-gamma_m-1.7e308",
+        "doublet-gamma_m-1.7e308", "scan-vbar-5e-324", "scan-vbar-1.7e308"])
 def test_finite_extreme_values_are_a_regime_failure(tmp_path, capsys, job, cfg):
     # each config is valid, but its arithmetic overflows or divides by zero,
-    # or its Doppler scale is too wide for the velocity route to resolve
+    # its dressed exponents or a Doppler scale's reciprocal leave the float
+    # range, or its Doppler scale is too wide for the velocity route to resolve
     path = write_config(tmp_path, "extreme.json", cfg)
     assert main([job, "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err

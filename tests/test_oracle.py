@@ -500,6 +500,16 @@ def test_certify_regime_violation_fails_with_explanation():
     assert report.regime_ratios["G_over_Omega"] < 10.0
 
 
+def test_certify_deviation_above_tolerance_fails_with_explanation():
+    # in regime, and the numbers agree to rounding, but no tolerance below
+    # the rounding of both routes can be met
+    report = certify("eq2_6", {}, 1e-300)
+    assert report.regime_ok
+    assert not report.passed
+    assert 1e-300 < report.max_rel_dev < 1e-12
+    assert report.explanation.startswith("deviation above tolerance")
+
+
 def test_oracle_vs_exact_stationary_spot():
     probe = ProbeField(G_mu=1e-3)
     Omega_mu = 5.5
