@@ -46,11 +46,8 @@ from .oracle import (
     CertifyReport,
     ConvergenceError,
     certify,
-    strong_pointwise,
-    triplet_pointwise,
     velocity_average,
     w_mu_time_domain_grid,
-    weak_pointwise,
 )
 from .stationary import (
     WeakFieldBreakdown,
@@ -87,9 +84,7 @@ __all__ = [
     "integrated_intensity",
     "memory_factors",
     "strong_doublet_components",
-    "strong_pointwise",
     "triplet_components",
-    "triplet_pointwise",
     "triplet_regime_ratios",
     "velocity_average",
     "voigt_density",
@@ -98,7 +93,6 @@ __all__ = [
     "w_mu_weak",
     "weak_doublet_components",
     "weak_doublet_gaussian",
-    "weak_pointwise",
     "weak_field_ratio",
     "wofz",
 ]

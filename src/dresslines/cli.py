@@ -120,6 +120,8 @@ def _parse_grid(g):
         raise ConfigError("grid count must be >= 2")
     if not hi > lo:
         raise ConfigError("grid max must exceed grid min")
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ConfigError(f"grid span max - min overflows the float range: {lo!r} to {hi!r}")
     return np.linspace(float(lo), float(hi), count)
 
 
@@ -264,13 +266,10 @@ def _write_json(path: Path, obj):
 
 
 def _csv_column(values):
-    """The CSV fields of one column: a float (np.floating too) in its
-    shortest round-trip repr, a None, which could not be measured, empty
-    (JSON's null), anything else as str."""
-    if all(type(v) is float for v in values):
-        return map(repr, values)
-    return ["" if v is None else repr(float(v)) if isinstance(v, (float, np.floating))
-            else str(v) for v in values]
+    """The CSV fields of one column: a float in its shortest round-trip
+    repr (str of a float is its repr), a None, which could not be measured,
+    empty (JSON's null), anything else as str."""
+    return [str(v) if v is not None else "" for v in values]
 
 
 def _write_csv(path: Path, header, columns):

@@ -553,6 +553,8 @@ def certify_config(**section):
      "grid count must be an integer, got True"),
     ("spectrum", spectrum_config(grid={"min": "-30", "max": 30.0, "count": 121}),
      "grid min and max must be numbers"),
+    ("spectrum", spectrum_config(grid={"min": -1.7e308, "max": 1.7e308, "count": 121}),
+     "grid span max - min overflows the float range"),
     ("spectrum", spectrum_config(drive={"G": True, "Omega": 3.0}),
      "G must be a finite number, got True"),
     ("certify", certify_config(ids=["eq2_6"], tolerance=1e-6,
@@ -587,7 +589,7 @@ def certify_config(**section):
         "unknown-parameter", "empty-grid", "ids-not-a-list", "label-object",
         "label-number", "grid-max-infinity", "parameter-minus-infinity",
         "tolerance-nan", "grid-count-float", "grid-count-string", "grid-count-bool",
-        "grid-min-string", "drive-G-bool", "parameter-count-float",
+        "grid-min-string", "grid-span-overflow", "drive-G-bool", "parameter-count-float",
         "parameter-G-bool", "parameter-vbar-bool", "parameter-rtol-unknown",
         "probe-Omega_mu", "scheme-omega_mn",
         "scan-without-thetas", "grid-count-too-large", "parameter-count-too-large",

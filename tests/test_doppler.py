@@ -28,10 +28,12 @@ from dresslines import (
     strong_doublet_components,
     triplet_components,
     voigt_density,
+    w_mu_exact,
     weak_doublet_components,
     weak_doublet_gaussian,
     wofz,
 )
+from dresslines.doppler import density_sum
 
 rng = np.random.default_rng(99123)
 
@@ -262,6 +264,37 @@ def test_strong_doublet_degenerate_rejected():
     probe = ProbeField(G_mu=1e-3, k_mu=1.0, theta=1.0)
     with pytest.raises(RegimeError):
         doppler_strong_doublet(scheme, drive, probe, ENS, 0.0)
+
+
+def _table_deviation(components, scheme, drive, probe):
+    # peak-relative maximum of |line table - exact| at rest, on grids that
+    # resolve each line to +-20 half-widths
+    comps = components(scheme, drive, probe, ENS)
+    x = np.concatenate([np.linspace(c.center - 20.0 * c.natural_halfwidth,
+                                    c.center + 20.0 * c.natural_halfwidth, 801)
+                        for c in comps])
+    exact = w_mu_exact(scheme, drive, probe, x)
+    return np.max(np.abs(density_sum(comps, x) - exact)) / np.max(exact)
+
+
+def test_line_tables_approach_the_exact_spectrum_at_rest():
+    # At k = k_mu = 0 an averaged form is its line table alone, and the
+    # certified exact form is its reference.  What the table drops is the
+    # interference between its lines: O(1/G) of the peak for the dressed
+    # doublet, O(1/|Omega|) for the weak doublet.  Bounds fixed before
+    # the first run.
+    scheme = LevelScheme(gamma_m=1.0, gamma_n=2.0, gamma_l=0.5)
+    probe = ProbeField(G_mu=1e-3)
+    drives = (10.0, 30.0, 100.0, 300.0, 1000.0)
+    strong = [_table_deviation(strong_doublet_components, scheme,
+                               DriveField(G=G, Omega=4.0), probe) for G in drives]
+    for G, dev in zip(drives, strong):
+        assert dev <= 1.0 / G, (G, dev)
+    assert all(b < a for a, b in zip(strong, strong[1:])), strong
+    for Omega in (30.0, 100.0, 300.0, 1000.0):
+        dev = _table_deviation(weak_doublet_components, scheme,
+                               DriveField(G=0.01, Omega=Omega), probe)
+        assert dev <= 1.2 / Omega, (Omega, dev)
 
 
 def test_two_quantum_luminescence_mirror():

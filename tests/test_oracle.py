@@ -25,18 +25,16 @@ from dresslines import (
     doppler_weak_doublet,
     dressed_exponents,
     strong_doublet_components,
-    strong_pointwise,
-    triplet_pointwise,
+    triplet_components,
     velocity_average,
     voigt_density,
     w_mu_exact,
     w_mu_time_domain_grid,
     weak_doublet_components,
-    weak_pointwise,
 )
 from dresslines import doppler as dop
 from dresslines import oracle
-from dresslines.oracle import _pole_distance
+from dresslines.oracle import _lorentzian_sum, _pole_distance
 
 SCHEME = LevelScheme(gamma_m=1.0, gamma_n=2.0, gamma_l=0.5)
 DRIVE = DriveField(G=3.0, Omega=4.0, k=2.0)
@@ -201,7 +199,7 @@ def test_backward_geometry_takes_the_collinear_path(monkeypatch):
     comps = weak_doublet_components(SCHEME, drive, probe, ENS)
     d = _pole_distance([c.natural_halfwidth for c in comps], [c.doppler_scale for c in comps])
     for x, expect in ((0.0, 1.1340623172855093e-10), (30.0, 3.348724781629563e-11)):
-        got = velocity_average(weak_pointwise(SCHEME, drive, probe, x), ENS,
+        got = velocity_average(_lorentzian_sum(comps, x), ENS,
                                drive.k, probe.k_mu, probe.theta, pole_distance=d)
         assert got == pytest.approx(expect, rel=1e-12)
 
@@ -246,12 +244,12 @@ def test_slab_sum_matches_full_tensor_sum():
     x, wx = oracle._trapezoid_points(h)
     assert x.size > oracle._SLAB_ROWS and x.size % oracle._SLAB_ROWS != 0
     X, Y = x[:, None], x[None, :]
-    for build in (weak_pointwise, strong_pointwise, triplet_pointwise):
-        fn = build(SCHEME, drive, probe, 1.5)
+    for build in (weak_doublet_components, strong_doublet_components, triplet_components):
+        fn = _lorentzian_sum(build(SCHEME, drive, probe, ENS), 1.5)
         full = np.sum(np.outer(wx, wx)
                       * fn(kv * X, kmuv * (X * math.cos(theta) + Y * math.sin(theta))))
         assert oracle._average_2d(fn, kv, kmuv, theta, h) == pytest.approx(full, rel=1e-14)
-        # the pointwise builders still take float projections
+        # the pointwise sums still take float projections
         assert fn(0.3, -0.2) == fn(np.array([0.3]), np.array([-0.2]))[0]
 
 
@@ -261,7 +259,7 @@ def test_weak_pointwise_average_matches_closed_form():
     comps = weak_doublet_components(SCHEME, drive, probe, ENS)
     d = _pole_distance([c.natural_halfwidth for c in comps], [c.doppler_scale for c in comps])
     for x in (0.0, 598.0, 604.0):
-        ref = velocity_average(weak_pointwise(SCHEME, drive, probe, x), ENS,
+        ref = velocity_average(_lorentzian_sum(comps, x), ENS,
                                drive.k, probe.k_mu, probe.theta, pole_distance=d)
         closed = doppler_weak_doublet(SCHEME, drive, probe, ENS, x)
         assert closed == pytest.approx(ref, rel=1e-9)
@@ -273,18 +271,10 @@ def test_strong_pointwise_average_matches_closed_form():
     comps = strong_doublet_components(SCHEME, drive, probe, ENS)
     d = _pole_distance([c.natural_halfwidth for c in comps], [c.doppler_scale for c in comps])
     for x in (-4.0, 1.0, 6.5):
-        ref = velocity_average(strong_pointwise(SCHEME, drive, probe, x), ENS,
+        ref = velocity_average(_lorentzian_sum(comps, x), ENS,
                                drive.k, probe.k_mu, probe.theta, pole_distance=d)
         closed = doppler_strong_doublet(SCHEME, drive, probe, ENS, x)
         assert closed == pytest.approx(ref, rel=1e-9)
-
-
-def test_strong_pointwise_refuses_a_confluent_pair():
-    # |gamma_n - gamma_m| = 2G at Omega = 0: the dressed exponents coincide
-    scheme = LevelScheme(gamma_m=1.0, gamma_n=3.0, gamma_l=0.5)
-    drive = DriveField(G=1.0, Omega=0.0, k=1.0)
-    with pytest.raises(RegimeError, match="degenerate dressed pair"):
-        strong_pointwise(scheme, drive, ProbeField(G_mu=1e-3, k_mu=1.0, theta=1.0), 0.0)
 
 
 @pytest.mark.parametrize("d", [0.05, 0.011])
@@ -299,7 +289,7 @@ def test_weak_doublet_2d_average_at_small_pole_distance(d):
     got_d = _pole_distance([c.natural_halfwidth for c in comps], [c.doppler_scale for c in comps])
     assert got_d == pytest.approx(d, rel=1e-12)
     for x in (0.0, 600.0):
-        ref = velocity_average(weak_pointwise(SCHEME, drive, probe, x), ENS,
+        ref = velocity_average(_lorentzian_sum(comps, x), ENS,
                                drive.k, probe.k_mu, probe.theta, pole_distance=got_d)
         closed = doppler_weak_doublet(SCHEME, drive, probe, ENS, x)
         assert closed == pytest.approx(ref, rel=1e-8)
