@@ -312,14 +312,6 @@ def _measure_component(density, window, line, components=()):
             "peak_height": h, "area": area}
 
 
-def _regime_ratios(cfg) -> dict:
-    drive = cfg.drive
-    kv = drive.k * cfg.ensemble.vbar
-    return {"G_over_weak_scale": weak_field_ratio(cfg.scheme, drive),
-            "Omega_over_drive_doppler": dop.regime_ratio(abs(drive.Omega), kv),
-            "G_over_drive_doppler": dop.regime_ratio(drive.G, kv)}
-
-
 def _write_line(cfg, out_dir, base, fmt, density, lines, components=(), **summary):
     """Write density on the grid as CSV and its measured summary as JSON.
 
@@ -412,9 +404,9 @@ def run_averaged_job(family: str, cfg: JobConfig, out_dir: Path, base: str,
     else:
         notes["kind"] = cfg.kind.name.lower()
 
+    regime = dop.doublet_regime_ratios(cfg.scheme, cfg.drive, cfg.ensemble)
     return _write_line(cfg, out_dir, base, fmt, density, comps, components=comps,
-                       regime_ratios=_regime_ratios(cfg), doublet_resolved=resolved,
-                       notes=notes)
+                       regime_ratios=regime, doublet_resolved=resolved, notes=notes)
 
 
 def run_theta_scan(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
@@ -434,19 +426,16 @@ def run_theta_scan(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
                      if c.weight > 0 else None)
             rows.append((theta, c.label, x0, width, c.density(x0), math.pi * c.weight))
 
+    header = ("theta", "component", "center", "fwhm", "peak_height", "area")
     if fmt in ("csv", "both"):
-        _write_csv(out_dir / f"{base}_scan.csv",
-                   ("theta", "component", "center", "fwhm", "peak_height", "area"),
-                   list(zip(*rows)))
+        _write_csv(out_dir / f"{base}_scan.csv", header, list(zip(*rows)))
     if fmt in ("json", "both"):
         _write_json(out_dir / f"{base}_scan.json",
                     {"job": "scan", "schema_version": SCHEMA_VERSION,
                      "label": cfg.label, "family": cfg.scan_family,
                      "kind": cfg.kind.name.lower(),
                      "unit_convention": UNIT_NOTE,
-                     "rows": [{"theta": r[0], "component": r[1], "center": r[2],
-                               "fwhm": r[3], "peak_height": r[4], "area": r[5]}
-                              for r in rows]})
+                     "rows": [dict(zip(header, r)) for r in rows]})
     return 0
 
 

@@ -37,7 +37,9 @@ from .model import (
     RegimeError,
     ThermalEnsemble,
     apply_process_signs,
+    regime_ratio,
 )
+from .stationary import weak_field_ratio
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_LN2 = math.sqrt(math.log(2.0))
@@ -324,13 +326,14 @@ def fluorescence_triplet(scheme, drive, probe, ensemble, Omega_mu):
     return density_sum(triplet_components(scheme, drive, probe, ensemble), Omega_mu)
 
 
-def regime_ratio(numerator: float, scale: float) -> float:
-    """numerator/scale for a regime diagnostic; math.inf when scale is zero.
-
-    The one zero-scale rule for every ratio over a Doppler scale or a rate:
-    a vanishing scale satisfies any "much larger than" limit without bound.
-    """
-    return numerator / scale if scale != 0.0 else math.inf
+def doublet_regime_ratios(scheme, drive, ensemble) -> dict:
+    """How deeply the doublets' limits are satisfied: the weak-drive
+    expansion parameter and the drive's detuning and strength over its
+    Doppler scale k*vbar."""
+    kv = drive.k * ensemble.vbar
+    return {"G_over_weak_scale": weak_field_ratio(scheme, drive),
+            "Omega_over_drive_doppler": regime_ratio(abs(drive.Omega), kv),
+            "G_over_drive_doppler": regime_ratio(drive.G, kv)}
 
 
 def triplet_regime_ratios(scheme, drive, ensemble) -> dict:
@@ -493,7 +496,7 @@ def _panel_sums(f, a, b):
     """16-point Gauss-Legendre sums of f over the panels [a_i, b_i], from one
     array call of f."""
     half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+    x = (0.5 * a + 0.5 * b)[:, None] + half[:, None] * _GL_NODES
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     return (y * _GL_WEIGHTS).sum(axis=1) * half
 
@@ -510,7 +513,7 @@ def quad(f, lo: float, hi: float, points=()) -> float:
     """
     edges = np.unique([lo, hi, *(p for p in points if lo < p < hi)])
     a, b = edges[:-1], edges[1:]
-    m = 0.5 * (a + b)
+    m = 0.5 * a + 0.5 * b
     whole, left, right = np.split(_panel_sums(f, np.r_[a, a, m], np.r_[b, m, b]), 3)
     closed, n_closed = 0.0, 0
     share = _EPSREL / (hi - lo)
@@ -525,7 +528,7 @@ def quad(f, lo: float, hi: float, points=()) -> float:
         a, b, whole = np.r_[a[op], m[op]], np.r_[m[op], b[op]], np.r_[left[op], right[op]]
         if n_closed + a.size > _MAX_PANELS:
             raise ValueError(f"quadrature did not converge within {_MAX_PANELS} panels")
-        m = 0.5 * (a + b)
+        m = 0.5 * a + 0.5 * b
         left, right = np.split(_panel_sums(f, np.r_[a, m], np.r_[m, b]), 2)
 
 
@@ -540,9 +543,14 @@ def find_peak(f, lo: float, hi: float):
     i = int(np.argmax(ys))
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, _PEAK_GRID - 1)])
-    x0 = _brent_minimize(lambda x: -float(f(x)), a, b,
-                         xatol=1e-12 * max(abs(a), abs(b), 1.0))
-    return x0, float(f(x0))
+    return _refine(lambda x: float(f(x)), a, b)
+
+
+def _refine(f, a: float, b: float):
+    """(x0, f(x0)) at the maximum of f on [a, b], by Brent's bounded search
+    to 1e-12 of the bracket's scale."""
+    x0 = _brent_minimize(lambda x: -f(x), a, b, xatol=1e-12 * max(abs(a), abs(b), 1.0))
+    return x0, f(x0)
 
 
 def fwhm(f, lo: float, hi: float, peak) -> float:
@@ -637,9 +645,7 @@ def component_peak(components, own, lo: float, hi: float):
     c = own.center
     r = own.natural_halfwidth + _SQRT_LN2 * own.doppler_scale
     left, right = max(lo, c - r), min(hi, c + r)
-    x0 = _brent_minimize(lambda x: -f(x), left, right,
-                         xatol=1e-12 * max(abs(left), abs(right), 1.0))
-    h = f(x0)
+    x0, h = _refine(f, left, right)
 
     centers = _column(components, "center")
     near = np.clip(centers, [lo, right], [left, hi])  # on [lo, left] and [right, hi]

@@ -27,12 +27,18 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-# CODATA 2018 exact SI value
-K_BOLTZMANN = 1.380649e-23   # J / K
-
 
 class RegimeError(ValueError):
     """A formula was evaluated outside the physical regime where it is defined."""
+
+
+def regime_ratio(numerator: float, scale: float) -> float:
+    """numerator/scale for a regime diagnostic; math.inf when scale is zero.
+
+    The one zero-scale rule for every ratio over a Doppler scale or a rate:
+    a vanishing scale satisfies any "much larger than" limit without bound.
+    """
+    return numerator / scale if scale != 0.0 else math.inf
 
 
 def _require_finite(name, value):
@@ -127,13 +133,6 @@ class ThermalEnsemble:
         _require_finite("vbar", self.vbar)
         if self.vbar <= 0:
             raise ValueError(f"vbar must be > 0, got {self.vbar!r}")
-
-    @classmethod
-    def from_temperature(cls, temperature: float, mass: float) -> "ThermalEnsemble":
-        """Ensemble of most probable speed sqrt(2*k_B*T/m)."""
-        if temperature <= 0 or mass <= 0:
-            raise ValueError("temperature and mass must be > 0")
-        return cls(math.sqrt(2.0 * K_BOLTZMANN * temperature / mass))
 
 
 class ProcessKind(enum.Enum):

@@ -412,23 +412,18 @@ def _weak_drive_regime(scheme, drive, probe, ensemble):
             "weak-drive expansion needs G/|Omega - i(gamma_n-gamma_m)| <= 0.01")
 
 
-def _weak_doublet_regime(scheme, drive, probe, ensemble):
-    ratio = dop.regime_ratio(abs(drive.Omega), drive.k * ensemble.vbar)
-    return {"Omega_over_drive_doppler": ratio}, True, ""
+def _doublet_regime(key, scheme, drive, probe, ensemble):
+    """One of doppler.doublet_regime_ratios, reported without a gate."""
+    return {key: dop.doublet_regime_ratios(scheme, drive, ensemble)[key]}, True, ""
 
 
 def _gaussian_regime(scheme, drive, probe, ensemble):
-    ratios, _, _ = _weak_doublet_regime(scheme, drive, probe, ensemble)
+    ratios, _, _ = _doublet_regime("Omega_over_drive_doppler", scheme, drive, probe, ensemble)
     comps = dop.weak_doublet_components(scheme, drive, probe, ensemble)
     ratios["doppler_over_width"] = min(
         dop.regime_ratio(c.doppler_scale, c.natural_halfwidth) for c in comps)
     return (ratios, ratios["doppler_over_width"] >= 100.0,
             "Gaussian form needs every Doppler scale >= 100x its natural width")
-
-
-def _strong_doublet_regime(scheme, drive, probe, ensemble):
-    ratio = dop.regime_ratio(drive.G, drive.k * ensemble.vbar)
-    return {"G_over_drive_doppler": ratio}, True, ""
 
 
 def _triplet_regime(scheme, drive, probe, ensemble):
@@ -447,11 +442,11 @@ _FORMS = {
     "eq2_7": ("weak-drive form", lambda s, d, p, e, g: w_mu_weak(s, d, p, g)[0],
               _TIME_DOMAIN, _PEAK, _weak_drive_regime),
     "eq3_2": ("averaged doublet", lambda *a: dop.weak_doublet_components(*a),
-              _VELOCITY, _POINTWISE, _weak_doublet_regime),
+              _VELOCITY, _POINTWISE, partial(_doublet_regime, "Omega_over_drive_doppler")),
     "eq3_3": ("Gaussian approximation", lambda *a: dop.weak_doublet_gaussian(*a),
               _FULL_AVERAGE, _PEAK, _gaussian_regime),
     "eq4_2": ("averaged dressed doublet", lambda *a: dop.strong_doublet_components(*a),
-              _VELOCITY, _POINTWISE, _strong_doublet_regime),
+              _VELOCITY, _POINTWISE, partial(_doublet_regime, "G_over_drive_doppler")),
     "eq5_2": ("averaged triplet", lambda *a: dop.triplet_components(*a),
               _VELOCITY, _POINTWISE, _triplet_regime),
 }

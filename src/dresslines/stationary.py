@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .faddeeva import elementwise
-from .model import DriveField, LevelScheme, RegimeError
+from .model import DriveField, LevelScheme, RegimeError, regime_ratio
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,7 @@ class WeakFieldBreakdown:
 
 def weak_field_ratio(scheme: LevelScheme, drive: DriveField) -> float:
     """Expansion parameter G/|Omega - i*(gamma_n - gamma_m)| of the weak-drive form."""
-    denom = abs(complex(drive.Omega, -scheme.gamma_diff))
-    if denom == 0.0:
-        return math.inf
-    return drive.G / denom
+    return regime_ratio(drive.G, abs(complex(drive.Omega, -scheme.gamma_diff)))
 
 
 def w_mu_exact(scheme, drive, probe, Omega_mu):

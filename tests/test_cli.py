@@ -212,6 +212,42 @@ def test_overflowing_wings_are_silent(tmp_path, capsys, k_mu, theta):
     assert capsys.readouterr().err == ""
 
 
+def test_huge_grid_span_is_silent(tmp_path, capsys):
+    # both edges of the last panels lie near the float limit, where a
+    # midpoint written as 0.5 * (a + b) overflows
+    cfg = doppler_config(drive={"G": 0.5, "Omega": 30.0, "k": 2.0},
+                         probe={"G_mu": 1e-3, "k_mu": 2.0, "theta": 1.0},
+                         grid={"min": -80.0, "max": 1.7e308, "count": 101})
+    path = write_config(tmp_path, "huge.json", cfg)
+    assert main(["doppler", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_regime_ratios_agree_between_jobs_and_certify(tmp_path):
+    # the doublet jobs and certify read the same regime ratios
+    drive = {"G": 1.0, "Omega": 5.0, "k": 4.0}
+    probe = {"G_mu": 1e-3, "k_mu": 4.0, "theta": 0.7}
+    grid = {"min": -40.0, "max": 45.0, "count": 101}
+    summaries = {}
+    for job in ("doppler", "doublet"):
+        cfg = doppler_config(job=job, drive=drive, probe=probe, ensemble={"vbar": 1.5},
+                             grid=grid)
+        path = write_config(tmp_path, f"{job}.json", cfg)
+        assert main([job, "--config", str(path), "--out", str(tmp_path)]) == 0
+        summaries[job] = json.loads((tmp_path / f"{job}_summary.json").read_text())
+    params = {**SCHEME, **drive, **probe, "vbar": 1.5, "omega_mu_min": -5.0,
+              "omega_mu_max": 5.0, "omega_mu_count": 3}
+    path = write_config(tmp_path, "ratios.json",
+                        certify_config(ids=["eq3_2", "eq4_2"], tolerance=1e-6,
+                                       parameters=params))
+    assert main(["certify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    weak, strong = json.loads((tmp_path / "ratios_certify.json").read_text())["reports"]
+    assert (summaries["doppler"]["regime_ratios"]["Omega_over_drive_doppler"]
+            == weak["regime_ratios"]["Omega_over_drive_doppler"] == 5.0 / 6.0)
+    assert (summaries["doublet"]["regime_ratios"]["G_over_drive_doppler"]
+            == strong["regime_ratios"]["G_over_drive_doppler"] == 1.0 / 6.0)
+
+
 def test_triplet_rejects_kind(tmp_path):
     cfg = {
         "schema_version": 1,
@@ -424,6 +460,25 @@ def test_certify_job_pass_and_fail(tmp_path):
     report = json.loads((tmp_path / "viol_certify.json").read_text())
     assert report["all_passed"] is False
     assert "regime violation" in report["reports"][0]["explanation"]
+
+
+def test_certify_reads_per_id_tolerances_and_parameters(tmp_path):
+    section = {"ids": ["eq2_6", "eq2_7"], "tolerance": 1e-6, "tolerances": {"eq2_7": 1e-4},
+               "parameters": {"G": 3.0, "omega_mu_count": 9},
+               "parameters_by_id": {"eq2_7": {"G": 0.01, "omega_mu_count": 5}}}
+    path = write_config(tmp_path, "per_id.json", certify_config(**section))
+    assert main(["certify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    exact, weak = json.loads((tmp_path / "per_id_certify.json").read_text())["reports"]
+    assert (exact["tolerance"], exact["n_points"], exact["passed"]) == (1e-6, 9, True)
+    assert (weak["tolerance"], weak["n_points"], weak["passed"]) == (1e-4, 5, True)
+
+    # without its own parameters eq2_7 runs at G = 3, outside the weak-drive regime
+    del section["parameters_by_id"]
+    path = write_config(tmp_path, "shared.json", certify_config(**section))
+    assert main(["certify", "--config", str(path), "--out", str(tmp_path)]) == 1
+    weak = json.loads((tmp_path / "shared_certify.json").read_text())["reports"][1]
+    assert weak["regime_ratios"]["G_over_weak_scale"] == pytest.approx(3.0 / math.hypot(4.0, 1.0))
+    assert weak["regime_ok"] is False and weak["n_points"] == 9
 
 
 def test_certify_prints_verdict_lines(tmp_path, capsys):

@@ -50,16 +50,6 @@ def test_probe_field_refuses_a_negative_coupling_or_wave_vector(field):
         ProbeField(**field)
 
 
-def test_vbar_roundtrip():
-    # Ne-20 mass at room temperature; frozen 50-digit reference.
-    m = 3.3509e-26
-    ens = ThermalEnsemble.from_temperature(300.0, m)
-    assert ens.vbar == pytest.approx(497.20619687244640436, rel=1e-12)
-    for temperature, mass in ((-10.0, m), (0.0, m), (300.0, 0.0)):
-        with pytest.raises(ValueError, match="temperature and mass must be > 0"):
-            ThermalEnsemble.from_temperature(temperature, mass)
-
-
 def test_process_kind_signs():
     assert ProcessKind.RAMAN_UPPER_INTERMEDIATE.signs == (1, 1)
     assert ProcessKind.TWO_QUANTUM_LUMINESCENCE.signs == (-1, 1)
