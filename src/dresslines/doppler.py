@@ -66,7 +66,8 @@ def voigt_density(natural_halfwidth, detuning, doppler_scale):
     np.float64) return a Python float, bit-identical to the array path at
     any finite detuning.  Any of the three may be an array, and they
     broadcast against each other, such as one (k, 1) row per component
-    against a (k, n) detuning, so that one call evaluates k components.
+    against a (k, n) detuning, so that one call evaluates k components;
+    faddeeva.elementwise then copies each (k, 1) column to (k, n) once.
     """
     if (isinstance(natural_halfwidth, _SCALAR) and isinstance(detuning, _SCALAR)
             and isinstance(doppler_scale, _SCALAR)):
@@ -161,8 +162,9 @@ def _components(drive, probe, ensemble, theta, lines):
 
     Each line (label, center, natural half-width, weight, memory M) gets the
     Doppler scale q(M, theta)*vbar of its own memory fraction, with the drive
-    and probe wave vectors and the ensemble's thermal speed.  A nonzero
-    scale without a finite reciprocal raises RegimeError naming its line.
+    and probe wave vectors and the ensemble's thermal speed.  A weight that
+    is not finite, or a nonzero scale without a finite reciprocal or whose
+    half-width over it is not finite, raises RegimeError naming its line.
     """
     comps = [DopplerComponent(label, center, halfwidth,
                               effective_q(drive.k, probe.k_mu, theta, M) * ensemble.vbar,
@@ -170,8 +172,13 @@ def _components(drive, probe, ensemble, theta, lines):
              for label, center, halfwidth, weight, M in lines]
     for c in comps:
         s = c.doppler_scale
+        if not math.isfinite(c.weight):
+            raise RegimeError(f"{c.label}: weight {c.weight!r} is not finite")
         if s and not (math.isfinite(s) and math.isfinite(1.0 / s)):
             raise RegimeError(f"{c.label}: Doppler scale {s!r} has no finite reciprocal")
+        if s and not math.isfinite(c.natural_halfwidth * (1.0 / s)):
+            raise RegimeError(f"{c.label}: half-width {c.natural_halfwidth!r} over Doppler "
+                              f"scale {s!r} is not finite")
     return comps
 
 

@@ -147,12 +147,12 @@ def _asymptotic(x, y):
 
 
 def _scaled_inverse(x, y):
-    """1/z where |z|**2 overflows, from z/m, m = |x| + |y|, of modulus near
-    1: 1/z = conj(z/m)/(|z/m|**2*m)."""
-    m = abs(x) + abs(y)
+    """1/z where |z|**2 overflows, from z/m, m = (|x| + |y|)/2, which cannot
+    overflow, of modulus sqrt(2) to 2: 1/z = (conj(z/m)/|z/m|**2)/m."""
+    m = 0.5 * abs(x) + 0.5 * abs(y)
     xs, ys = x / m, y / m
-    d = (xs * xs + ys * ys) * m
-    return xs / d, -ys / d
+    d = xs * xs + ys * ys
+    return xs / d / m, -ys / d / m
 
 
 def _near_axis(x, y):
@@ -210,50 +210,40 @@ def w_block(x, y):
 
 def elementwise(scalar, block, *args):
     """scalar(*floats) or block(*arrays) at every element of the arguments,
-    broadcast against each other as views.
+    broadcast against each other, in one float64 array of their shape.
 
     A 0-d broadcast returns scalar's Python number itself, and under
     _SCALAR_MAX points each element is a scalar call.  Otherwise block runs
-    on 1-D blocks of at most _BLOCK points, whole rows of the last axis
-    while they fit, else pieces of one row, with overflow and invalid
-    operations silenced as in Python floats, and fills an output of its
-    dtype.  The two functions must agree elementwise.
+    on consecutive slices of at most _BLOCK points of the flattened
+    arguments, with overflow and invalid operations silenced as in Python
+    floats; an argument the broadcast repeats along some but not all of its
+    axes is flattened by a copy.  The two functions must agree elementwise.
     """
     args = [np.asarray(a, dtype=float) for a in args]
     shape = np.broadcast(*args).shape
-    args = [a if a.shape == shape else np.broadcast_to(a, shape) for a in args]
     if not shape:
         return scalar(*map(float, args))
-    if args[0].size < _SCALAR_MAX:
-        results = [scalar(*v) for v in zip(*(a.ravel().tolist() for a in args))]
-        return np.reshape(results or block(*(a.ravel() for a in args)), shape)  # empty: block's dtype
-    n = shape[-1]
-    rows = [a.reshape(-1, n) for a in args]
-    step_r, step_c = max(1, _BLOCK // n), min(n, _BLOCK)
-    out = None
+    flat = [np.broadcast_to(a, shape).reshape(-1) for a in args]
+    out = np.empty(flat[0].size)
+    if out.size < _SCALAR_MAX:
+        out[:] = [scalar(*v) for v in zip(*(a.tolist() for a in flat))]
+        return out.reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(0, len(rows[0]), step_r):
-            for c in range(0, n, step_c):
-                piece = np.s_[r:r + step_r, c:c + step_c]
-                values = block(*(a[piece].ravel() for a in rows))
-                if out is None:
-                    out = np.empty(rows[0].shape, values.dtype)
-                out[piece] = values.reshape(out[piece].shape)
+        for i in range(0, out.size, _BLOCK):
+            out[i:i + _BLOCK] = block(*(a[i:i + _BLOCK] for a in flat))
     return out.reshape(shape)
 
 
 def wofz(z):
     """The Faddeeva function w(z) = exp(-z**2)*erfc(-i*z) for Im z >= 0.
 
-    Scalar in, Python complex out; arrays pass through elementwise.
-    Arguments with Im z < 0, where w grows as exp(-z**2), are rejected.
+    Scalar in, Python complex out; arrays keep their shape.  Re w and Im w
+    are two float passes of elementwise.  Arguments with Im z < 0, where w
+    grows as exp(-z**2), are rejected.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag < 0):
         raise ValueError("wofz requires Im z >= 0")
-    return elementwise(lambda x, y: complex(*w_scalar(x, y)), _w_complex, z.real, z.imag)
-
-
-def _w_complex(x, y):
-    re, im = w_block(x, y)
+    re, im = (elementwise(lambda x, y: w_scalar(x, y)[j], lambda x, y: w_block(x, y)[j],
+                          z.real, z.imag) for j in (0, 1))
     return re + 1j * im

@@ -1,5 +1,7 @@
 """Command line jobs: config validation, outputs, determinism, exit codes."""
 
+import copy
+import itertools
 import json
 import math
 import os
@@ -725,6 +727,39 @@ def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys, where):
     assert err.count("\n") == 1
 
 
+def small_config(job, G, Omega):
+    """A doppler, doublet or triplet config: k = k_mu = 2, theta = 1, 41 points."""
+    return doppler_config(job=job, drive={"G": G, "Omega": Omega, "k": 2.0},
+                          probe={"G_mu": 1e-3, "k_mu": 2.0, "theta": 1.0},
+                          grid={"min": -80.0, "max": 80.0, "count": 41})
+
+
+def small_scan_config(family, G, Omega):
+    """A scan of one family at k = k_mu = 2 over theta = 1, 0 and pi, in that
+    order, so that a failure at theta = 1 shows before a refusal at 0."""
+    return dict(scan_config([1.0, 0.0, math.pi]), scan_family=family,
+                drive={"G": G, "Omega": Omega, "k": 2.0}, probe={"G_mu": 1e-3, "k_mu": 2.0})
+
+
+def with_leaf(cfg, section, key, value):
+    cfg = copy.deepcopy(cfg)
+    cfg[section][key] = value
+    return cfg
+
+
+# One valid config per job, both scan families: the exit-contract sweep's bases.
+SWEEP_BASES = (
+    spectrum_config(drive={"G": 3.0, "Omega": 4.0},
+                    grid={"min": -80.0, "max": 80.0, "count": 41}),
+    small_config("doppler", 0.5, 30.0),
+    small_config("doublet", 3.0, 4.0),
+    small_config("triplet", 30.0, 4.0),
+    small_scan_config("weak", 0.5, 30.0),
+    small_scan_config("strong", 3.0, 4.0),
+)
+SWEEP_VALUES = (0.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308)
+
+
 @pytest.mark.parametrize("job,cfg", [
     ("spectrum", spectrum_config(drive={"G": 8.0, "Omega": 1e200})),
     ("spectrum", spectrum_config(scheme={"gamma_m": 1e-300, "gamma_n": 1e-300,
@@ -740,18 +775,52 @@ def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys, where):
                                drive={"G": 3.0, "Omega": 4.0, "k": 4.0})),
     ("scan", {**scan_config([0.5, 1.0]), "ensemble": {"vbar": 5e-324}}),
     ("scan", {**scan_config([0.5, 1.0]), "ensemble": {"vbar": 1.7e308}}),
+    ("doublet", with_leaf(small_config("doublet", 3.0, 4.0), "probe", "G_mu", 1.7e308)),
+    ("doppler", with_leaf(small_config("doppler", 0.5, 30.0), "scheme", "gamma_m", 5e-324)),
+    ("doppler", with_leaf(small_config("doppler", 0.5, 30.0), "scheme", "gamma_n", 5e-324)),
+    ("scan", with_leaf(small_scan_config("strong", 3.0, 4.0), "scheme", "gamma_l", 1.7e308)),
 ], ids=["spectrum-Omega-1e200", "spectrum-gammas-1e-300", "doppler-k-1e200",
         "doublet-G-1e200", "certify-pole-distance-0.00167", "spectrum-gamma_m-1.7e308",
-        "doublet-gamma_m-1.7e308", "scan-vbar-5e-324", "scan-vbar-1.7e308"])
+        "doublet-gamma_m-1.7e308", "scan-vbar-5e-324", "scan-vbar-1.7e308",
+        "doublet-G_mu-1.7e308", "doppler-gamma_m-5e-324", "doppler-gamma_n-5e-324",
+        "scan-strong-gamma_l-1.7e308"])
 def test_finite_extreme_values_are_a_regime_failure(tmp_path, capsys, job, cfg):
     # each config is valid, but its arithmetic overflows or divides by zero,
-    # its dressed exponents or a Doppler scale's reciprocal leave the float
-    # range, or its Doppler scale is too wide for the velocity route to resolve
+    # its dressed exponents, a component's weight, a Doppler scale's
+    # reciprocal or a half-width over its scale leave the float range, or its
+    # Doppler scale is too wide for the velocity route to resolve
     path = write_config(tmp_path, "extreme.json", cfg)
     assert main([job, "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("physics-regime failure: ")
     assert err.count("\n") == 1
+
+
+def test_no_float_leaf_breaks_the_exit_contract(tmp_path, capsys):
+    # every float leaf of SWEEP_BASES in turn at each of SWEEP_VALUES: main
+    # returns 0, 1 or 2, prints one stderr line on failure and none on
+    # success, and lets no exception out (pytest makes a RuntimeWarning one)
+    breaches, cases = [], 0
+    for base in SWEEP_BASES:
+        job = base["job"]
+        leaves = [(section, key) for section in ("scheme", "drive", "probe", "ensemble", "grid")
+                  for key, v in base.get(section, {}).items() if isinstance(v, float)]
+        for (section, key), value in itertools.product(leaves, SWEEP_VALUES):
+            cases += 1
+            case = (job, base.get("scan_family"), f"{section}.{key}", value)
+            path = write_config(tmp_path, "sweep.json", with_leaf(base, section, key, value))
+            try:
+                code = main([job, "--config", str(path), "--out", str(tmp_path),
+                             "--format", "both"])
+            except Exception as e:
+                breaches.append((*case, repr(e)))
+                capsys.readouterr()
+                continue
+            err = capsys.readouterr().err
+            if code not in (0, 1, 2) or (err.count("\n") != 1 if code else err):
+                breaches.append((*case, code, err))
+    assert cases == 372
+    assert breaches == []
 
 
 def test_process_kind_flows_through_spectrum(tmp_path):

@@ -13,10 +13,13 @@ import pytest
 from dresslines import (
     DriveField,
     LevelScheme,
+    ProbeField,
     RegimeError,
+    ThermalEnsemble,
     doublet_resolved,
     dressed_exponents,
     memory_factors,
+    strong_doublet_components,
 )
 
 rng = np.random.default_rng(20260821)
@@ -137,6 +140,29 @@ def test_doublet_resolved():
     narrow = dressed_exponents(scheme, DriveField(G=1.0, Omega=0.0))
     assert doublet_resolved(wide, scheme.gamma_l)
     assert not doublet_resolved(narrow, scheme.gamma_l)
+
+
+def test_doublet_resolved_between_one_and_two_gamma_l():
+    # gamma = (1, 1, 1), Omega = 0: the separation is 2G and the widths
+    # with both gamma_l are 4, so G = 1.75 (separation 3.5) lies between
+    # widths + gamma_l = 3 and widths + 2*gamma_l, and G = 2.1 lies above
+    scheme = LevelScheme(gamma_m=1.0, gamma_n=1.0, gamma_l=1.0)
+    pairs = [dressed_exponents(scheme, DriveField(G=G, Omega=0.0)) for G in (1.75, 2.1)]
+    assert [doublet_resolved(p, scheme.gamma_l) for p in pairs] == [False, True]
+
+
+def test_degenerate_threshold_is_1e_minus_8_of_the_scale():
+    # gamma = (1, 3, 0.5), Omega = 0 collapses at G = 1; at G = 1 + 2e-12
+    # the splitting is 1.0e-6 of the pair's scale, far above the threshold
+    scheme = LevelScheme(gamma_m=1.0, gamma_n=3.0, gamma_l=0.5)
+    args = (ProbeField(G_mu=1e-3, k_mu=2.0, theta=1.0), ThermalEnsemble(vbar=1.0))
+    near = DriveField(G=1.0 + 2e-12, Omega=0.0, k=2.0)
+    assert not dressed_exponents(scheme, near).is_degenerate
+    assert len(strong_doublet_components(scheme, near, *args)) == 2
+    at = DriveField(G=1.0, Omega=0.0, k=2.0)
+    assert dressed_exponents(scheme, at).is_degenerate
+    with pytest.raises(RegimeError):
+        strong_doublet_components(scheme, at, *args)
 
 
 def test_pair_carries_damping_summary():

@@ -91,6 +91,15 @@ def test_w_where_z_squared_overflows(z):
         assert abs(got - ref) <= 1e-15 * abs(ref), (got, ref)
 
 
+@pytest.mark.parametrize("z", [1e308 + 1e308j, -1.7e308 + 1.7e308j])
+def test_w_where_the_parts_sum_beyond_the_float_range(z):
+    # |x| + |y| overflows as well, so z is scaled by (|x| + |y|)/2; the
+    # reference divides by z/2, since Python's complex division by z overflows
+    ref = 1j / (z / 2) / 2 / math.sqrt(math.pi)
+    for got in (wofz(z), *wofz(np.full(64, z)).tolist()):
+        assert abs(got - ref) <= 1e-14 * abs(ref), (got, ref)
+
+
 def test_real_part_on_the_axis_beyond_the_rational_form():
     # the asymptotic series gives Re w = 0 on the axis, where Re w = exp(-x**2)
     for got in (wofz(8.5), *wofz(np.full(64, 8.5 + 0j)).tolist()):

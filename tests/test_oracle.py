@@ -451,6 +451,18 @@ def test_certify_weak_form_regime_gate():
     assert ok.regime_ratios["G_over_weak_scale"] <= 0.01
 
 
+def test_certify_weak_form_gate_is_at_0_01():
+    # at G/|Omega - i*gamma_d| = 0.02 the weak form still agrees to 1.4e-3,
+    # within the tolerance, but the run is outside the regime; at 0.005 it
+    # is inside and passes
+    weak_scale = math.hypot(4.0, 1.0)  # the defaults' |Omega - i(gamma_n - gamma_m)|
+    reports = [certify("eq2_7", {"G": r * weak_scale, "omega_mu_count": 5}, 1e-2)
+               for r in (0.02, 0.005)]
+    assert [r.regime_ratios["G_over_weak_scale"] for r in reports] == [0.02, 0.005]
+    assert all(r.max_rel_dev <= 1e-2 for r in reports)
+    assert [(r.regime_ok, r.passed) for r in reports] == [(False, False), (True, True)]
+
+
 def test_certify_strong_doublet_passes():
     params = {"G": 3.0, "Omega": 4.0, "k": 3.0, "k_mu": 3.0, "theta": 0.0,
               "vbar": 1.0, "omega_mu_count": 5}
