@@ -33,6 +33,7 @@ from .doppler import (
 )
 from .faddeeva import wofz
 from .model import (
+    ConvergenceError,
     DriveField,
     LevelScheme,
     ProbeField,
@@ -40,14 +41,6 @@ from .model import (
     RegimeError,
     ThermalEnsemble,
     apply_process_signs,
-)
-from .oracle import (
-    CLOSED_FORM_IDS,
-    CertifyReport,
-    ConvergenceError,
-    certify,
-    velocity_average,
-    w_mu_time_domain_grid,
 )
 from .stationary import (
     WeakFieldBreakdown,
@@ -57,6 +50,18 @@ from .stationary import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle's names load it on first use: no job but certify runs it.
+_ORACLE_NAMES = frozenset({"CLOSED_FORM_IDS", "CertifyReport", "certify",
+                           "velocity_average", "w_mu_time_domain_grid"})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CLOSED_FORM_IDS",

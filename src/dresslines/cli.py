@@ -32,9 +32,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import doppler as dop
-from . import oracle
 from .dressed import doublet_resolved, dressed_exponents
 from .model import (
+    ConvergenceError,
     DriveField,
     LevelScheme,
     ProbeField,
@@ -146,6 +146,8 @@ def _check_certify(c):
     """Validate the certify section into its (id, parameters, tolerance)
     runs: known ids, a numeric tolerance and oracle parameters for each id,
     so that run_certify meets no config error."""
+    from . import oracle  # loaded only by a certify job
+
     _check_keys("certify", c, {"ids", "tolerance", "tolerances", "parameters",
                                "parameters_by_id"})
     ids = c.get("ids")
@@ -207,8 +209,8 @@ def _finite_number(text):
 
 
 def load_config(path, job: str) -> JobConfig:
-    """Read and validate one JSON config against the declared subcommand
-    and the keys JOB_TABLE lists for it."""
+    """Read and validate one JSON config against the job named on the
+    command line and the keys JOB_TABLE lists for it."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_finite_number,
                          parse_int=_finite_number, parse_constant=_finite_number)
@@ -229,7 +231,7 @@ def load_config(path, job: str) -> JobConfig:
         )
     cfg_job = raw.get("job", job)
     if cfg_job != job:
-        raise ConfigError(f"config job {cfg_job!r} does not match subcommand {job!r}")
+        raise ConfigError(f"config job {cfg_job!r} does not match the command-line job {job!r}")
     if job not in JOB_TABLE:
         raise ConfigError(f"unknown job {job!r}")
     reads = JOB_TABLE[job].reads
@@ -441,6 +443,8 @@ def run_theta_scan(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
 
 def run_certify(cfg: JobConfig, out_dir: Path, base: str, fmt: str) -> int:
     """Drive oracle.certify over the configured runs; exit 1 on any failure."""
+    from . import oracle
+
     reports = [oracle.certify(cid, params, tol) for cid, params, tol in cfg.certify]
     for r in reports:
         verdict = "PASS" if r.passed else "FAIL"
@@ -483,15 +487,16 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dresslines",
         description="Emission line shapes of a resonantly driven three-level gas",
+        epilog="jobs:\n" + "\n".join(f"  {job:<10}{spec.help}"
+                                       for job, spec in JOB_TABLE.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = ap.add_subparsers(dest="job", required=True)
-    for job, spec in JOB_TABLE.items():
-        p = sub.add_parser(job, help=spec.help)
-        p.add_argument("--config", required=True, help="path to a JSON job config")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-        # accepted and ignored: the scan ran on threads once, and scripts still pass it
-        p.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
+    ap.add_argument("job", choices=JOB_TABLE, metavar="job", help="one of the jobs below")
+    ap.add_argument("--config", required=True, help="path to a JSON job config")
+    ap.add_argument("--out", default=".", help="output directory")
+    ap.add_argument("--format", choices=("csv", "json", "both"), default="both")
+    # accepted and ignored: the scan ran on threads once, and scripts still pass it
+    ap.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     return ap
 
 
@@ -505,7 +510,7 @@ def main(argv=None) -> int:
     except (ConfigError, MemoryError) as e:  # MemoryError: a grid too large to allocate
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (RegimeError, oracle.ConvergenceError) as e:
+    except (RegimeError, ConvergenceError) as e:
         print(f"physics-regime failure: {e}", file=sys.stderr)
         return 1
     except ArithmeticError as e:  # finite inputs whose arithmetic leaves the float range

@@ -483,7 +483,17 @@ def _brent_root(f, xa: float, xb: float, xtol: float) -> float:
     raise ValueError("root search did not converge in 100 steps")
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# The 16-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(16) written
+# out: the call would import numpy.polynomial and run an eigen-solve in every
+# process that imports this module.
+_GL_HALF_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                  0.9445750230732326, 0.9894009349916499)
+_GL_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                    0.062253523938647456, 0.027152459411754176)
+_GL_NODES = np.array([-x for x in reversed(_GL_HALF_NODES)] + list(_GL_HALF_NODES))
+_GL_WEIGHTS = np.array(list(reversed(_GL_HALF_WEIGHTS)) + list(_GL_HALF_WEIGHTS))
 # quad's partition may hold at most _MAX_PANELS panels, as QUADPACK's limit
 # bounds its subintervals: an integrand that never converges (a nan) would
 # otherwise double its open panels, and the points of f's call, every level.
@@ -508,6 +518,14 @@ def _panel_sums(f, a, b):
     return (y * _GL_WEIGHTS).sum(axis=1) * half
 
 
+def _edges(lo: float, hi: float, points):
+    """The sorted distinct values of lo, hi and the points strictly inside
+    (lo, hi), as np.unique sorts and drops repeats; np.unique itself would
+    import numpy.ma on its first call."""
+    edges = np.sort([lo, hi, *(p for p in points if lo < p < hi)])
+    return edges[np.r_[True, edges[1:] != edges[:-1]]]
+
+
 def quad(f, lo: float, hi: float, points=()) -> float:
     """Integral of f over [lo, hi] on adaptive 16-point Gauss-Legendre panels.
 
@@ -518,7 +536,7 @@ def quad(f, lo: float, hi: float, points=()) -> float:
     times the panel's fraction of hi - lo.  Every other panel is halved.
     Raises ValueError once the partition exceeds _MAX_PANELS panels.
     """
-    edges = np.unique([lo, hi, *(p for p in points if lo < p < hi)])
+    edges = _edges(lo, hi, points)
     a, b = edges[:-1], edges[1:]
     m = 0.5 * a + 0.5 * b
     whole, left, right = np.split(_panel_sums(f, np.r_[a, a, m], np.r_[b, m, b]), 3)
@@ -622,15 +640,22 @@ def voigt_fwhm(natural_halfwidth: float, doppler_scale: float) -> float:
     max(a, s*sqrt(ln 2)) <= x <= a + s*sqrt(ln 2), which holds for every
     Voigt (Olivero & Longbothum, JQSRT 17 (1977) 233), widened by
     _BRACKET_MARGIN against rounding.  s = 0, a Lorentzian, gives 2a.
+    Raises OverflowError where the width leaves the float range.
     """
     a, s = float(natural_halfwidth), float(doppler_scale)
     half = 0.5 * voigt_density(a, 0.0, s)  # validates a and s
-    if s == 0.0:
-        return 2.0 * a
     g = s * _SQRT_LN2
-    return 2.0 * _brent_root(lambda x: voigt_density(a, x, s) - half,
-                             max(a, g) * (1.0 - _BRACKET_MARGIN),
-                             (a + g) * (1.0 + _BRACKET_MARGIN), xtol=0.0)
+    lo, hi = max(a, g) * (1.0 - _BRACKET_MARGIN), (a + g) * (1.0 + _BRACKET_MARGIN)
+    if s == 0.0:
+        width = 2.0 * a
+    elif math.isinf(hi):  # then 2*max(a, g) <= width is within 2e-9 of the float range's top
+        width = math.inf
+    else:
+        width = 2.0 * _brent_root(lambda x: voigt_density(a, x, s) - half, lo, hi, xtol=0.0)
+    if math.isinf(width):
+        raise OverflowError(f"the FWHM of the Voigt of half-width {a!r} and Doppler "
+                            f"scale {s!r} leaves the float range")
+    return width
 
 
 def component_peak(components, own, lo: float, hi: float):

@@ -32,6 +32,10 @@ class RegimeError(ValueError):
     """A formula was evaluated outside the physical regime where it is defined."""
 
 
+class ConvergenceError(RuntimeError):
+    """An oracle failed its self-consistency (tail or step halving) check."""
+
+
 def regime_ratio(numerator: float, scale: float) -> float:
     """numerator/scale for a regime diagnostic; math.inf when scale is zero.
 

@@ -31,7 +31,14 @@ from functools import partial
 import numpy as np
 
 from . import doppler as dop
-from .model import DriveField, LevelScheme, ProbeField, RegimeError, ThermalEnsemble
+from .model import (
+    ConvergenceError,
+    DriveField,
+    LevelScheme,
+    ProbeField,
+    RegimeError,
+    ThermalEnsemble,
+)
 from .stationary import w_mu_exact, w_mu_weak, weak_field_ratio
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -65,10 +72,6 @@ _TAYLOR_TERMS = 24
 _TAIL = 1e-17
 _MAX_DOUBLINGS = 64
 _HALVING_RTOL = 1e-10
-
-
-class ConvergenceError(RuntimeError):
-    """An oracle failed its self-consistency (tail or step halving) check."""
 
 
 def _generator(scheme, drive, grid):

@@ -383,8 +383,8 @@ def test_averaged_lines_are_measured_from_their_components(tmp_path, monkeypatch
 def test_no_job_loads_scipy(tmp_path):
     # a fresh interpreter, since this process has loaded scipy; sys.modules
     # only grows, so one that imports cli and then runs every job in turn
-    # checks the import and each job, certify's time-domain and velocity
-    # routes included
+    # checks the import and each job: no job loads scipy, and none but
+    # certify, which runs last, loads numpy.ma, numpy.polynomial or the oracle
     configs = {"spectrum": spectrum_config(), "doppler": doppler_config(),
                "doublet": doppler_config(job="doublet",
                                          drive={"G": 30.0, "Omega": 5.0, "k": 4.0}),
@@ -399,13 +399,16 @@ def test_no_job_loads_scipy(tmp_path):
 import json, sys
 from dresslines import cli
 
-def loaded():
-    return sorted(m for m in sys.modules if m.startswith('scipy'))
+def loaded(prefixes):
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
 
-seen = {{"import": loaded()}}
+scipy = ("scipy",)
+lazy = scipy + ("numpy.ma.", "numpy.polynomial", "dresslines.oracle")
+seen = {{"import": loaded(lazy)}}
 for job, args in {runs!r}.items():
     assert cli.main([job, *args]) == 0, job
-    seen[job] = loaded()
+    seen[job] = loaded(scipy if job == "certify" else lazy)
+seen["oracle"] = "dresslines.oracle" in sys.modules
 print(json.dumps(seen))
 """
     src = str(Path(cli.__file__).parents[1])
@@ -414,7 +417,7 @@ print(json.dumps(seen))
     assert out.returncode == 0, out.stderr
     # certify prints its verdict lines first
     seen = json.loads(out.stdout.splitlines()[-1])
-    assert seen == {step: [] for step in ["import", *configs]}
+    assert seen == {**{step: [] for step in ["import", *configs]}, "oracle": True}
 
 
 @pytest.mark.parametrize("job,cfg", [("spectrum", spectrum_config()),
@@ -779,16 +782,20 @@ SWEEP_VALUES = (0.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308)
     ("doppler", with_leaf(small_config("doppler", 0.5, 30.0), "scheme", "gamma_m", 5e-324)),
     ("doppler", with_leaf(small_config("doppler", 0.5, 30.0), "scheme", "gamma_n", 5e-324)),
     ("scan", with_leaf(small_scan_config("strong", 3.0, 4.0), "scheme", "gamma_l", 1.7e308)),
+    ("scan", with_leaf(dict(scan_config([0.5, 1.0]), scan_family="strong",
+                            drive={"G": 3.0, "Omega": 4.0, "k": 20.0}),
+                       "scheme", "gamma_l", 1.7e308)),
 ], ids=["spectrum-Omega-1e200", "spectrum-gammas-1e-300", "doppler-k-1e200",
         "doublet-G-1e200", "certify-pole-distance-0.00167", "spectrum-gamma_m-1.7e308",
         "doublet-gamma_m-1.7e308", "scan-vbar-5e-324", "scan-vbar-1.7e308",
         "doublet-G_mu-1.7e308", "doppler-gamma_m-5e-324", "doppler-gamma_n-5e-324",
-        "scan-strong-gamma_l-1.7e308"])
+        "scan-strong-gamma_l-1.7e308", "scan-strong-gamma_l-1.7e308-fwhm"])
 def test_finite_extreme_values_are_a_regime_failure(tmp_path, capsys, job, cfg):
     # each config is valid, but its arithmetic overflows or divides by zero,
     # its dressed exponents, a component's weight, a Doppler scale's
-    # reciprocal or a half-width over its scale leave the float range, or its
-    # Doppler scale is too wide for the velocity route to resolve
+    # reciprocal, a half-width over its scale or a Voigt's FWHM leave the
+    # float range, or its Doppler scale is too wide for the velocity route to
+    # resolve
     path = write_config(tmp_path, "extreme.json", cfg)
     assert main([job, "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err

@@ -228,6 +228,22 @@ def test_quad_is_exact_for_polynomials_and_makes_one_call_per_level():
     assert calls == [2 * 3 * 16]
 
 
+def test_gauss_legendre_table_is_numpys_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    for table, ref in ((dop._GL_NODES, nodes), (dop._GL_WEIGHTS, weights)):
+        assert table.dtype == np.float64 and table.shape == (16,)
+        assert np.all(np.abs(table - ref) <= np.spacing(np.abs(ref)))
+
+
+@pytest.mark.parametrize("points", [(), (0.5, 0.5), (0.0, 1.0, 0.5), (1.0, 0.25, 0.0, 0.25),
+                                    (-3.0, 0.75, 7.0, 0.75, 0.1), (0.0, 0.0, 1.0, 1.0)])
+def test_quad_edges_are_np_uniques(points):
+    # repeats and breakpoints on lo or hi collapse; those outside drop
+    got = dop._edges(0.0, 1.0, points)
+    want = np.unique([0.0, 1.0, *(p for p in points if 0.0 < p < 1.0)])
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 def test_quad_gives_up_on_a_nan_integrand_in_bounded_memory():
     sizes = []
 
@@ -324,3 +340,9 @@ def test_voigt_fwhm_of_a_huge_doppler_scale_is_gaussian(s):
 
 def test_voigt_fwhm_of_a_lorentzian_is_twice_its_halfwidth():
     assert dop.voigt_fwhm(2.5, 0.0) == float(mp_voigt_fwhm(2.5, 0.0)) == 5.0
+
+
+@pytest.mark.parametrize("a,s", [(1.7e308, 0.0), (1.7e308, 16.2), (1e308, 1e308)])
+def test_voigt_fwhm_beyond_the_float_range_overflows(a, s):
+    with pytest.raises(OverflowError, match="leaves the float range"):
+        dop.voigt_fwhm(a, s)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import dresslines
 from dresslines import (
     DriveField,
     LevelScheme,
@@ -80,3 +81,16 @@ def test_apply_process_signs_values():
         drive, -1, math.pi - 0.3)
     assert apply_process_signs(ProcessKind.RAMAN_LOWER_INTERMEDIATE, drive, 0.3) == (
         flipped, -1, 0.3)
+
+
+def test_every_public_name_resolves():
+    for name in dresslines.__all__:
+        assert getattr(dresslines, name) is not None, name
+    with pytest.raises(AttributeError):
+        dresslines.no_such_name
+
+
+def test_convergence_error_is_one_class():
+    from dresslines import model, oracle
+
+    assert dresslines.ConvergenceError is oracle.ConvergenceError is model.ConvergenceError
