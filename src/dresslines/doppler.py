@@ -87,22 +87,27 @@ def voigt_density(natural_halfwidth, detuning, doppler_scale):
 
 
 def _voigt(a: float, x: float, s: float) -> float:
-    """voigt_density for Python floats."""
-    if s == 0.0:
-        return a / (a * a + x * x)
-    inv = 1.0 / s
-    return (_SQRT_PI / s) * w_scalar(x * inv, a * inv)[0]
+    """voigt_density for Python floats: where x/s or a/s is not finite (s = 0
+    too), the Lorentzian a/(a**2 + x**2), which the Gaussian moves by far less
+    than rounding there."""
+    inv = 1.0 / s if s else math.inf
+    u, y = x * inv, a * inv
+    if math.isfinite(u) and math.isfinite(y):
+        return (_SQRT_PI / s) * w_scalar(u, y)[0]
+    return a / (a * a + x * x)
 
 
 def _voigt_block(a, x, s):
     """voigt_density for 1-D float arrays, with the operations of _voigt."""
-    if not s.all():  # the zero scales are Lorentzians
-        out = a / (a * a + x * x)
-        v = s != 0.0
-        out[v] = _voigt_block(a[v], x[v], s[v])
-        return out
-    inv = 1.0 / s
-    return (_SQRT_PI / s) * w_block(x * inv, a * inv)[0]
+    with np.errstate(divide="ignore"):  # a zero scale's inverse is inf, as in _voigt
+        inv = 1.0 / s
+    u, y = x * inv, a * inv
+    ok = np.isfinite(u) & np.isfinite(y)
+    if ok.all():
+        return (_SQRT_PI / s) * w_block(u, y)[0]
+    out = a / (a * a + x * x)
+    out[ok] = (_SQRT_PI / s[ok]) * w_block(u[ok], y[ok])[0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -679,9 +684,9 @@ def component_peak(components, own, lo: float, hi: float):
     left, right = max(lo, c - r), min(hi, c + r)
     x0, h = _refine(f, left, right)
 
-    centers = _column(components, "center")
-    near = np.clip(centers, [lo, right], [left, hi])  # on [lo, left] and [right, hi]
-    sides = voigt_density(_column(components, "natural_halfwidth"), near - centers,
-                          _column(components, "doppler_scale"))
-    bound = (np.maximum(_column(components, "weight"), 0.0) * sides).sum(axis=0)
-    return (x0, h, r) if (bound < h).all() else None
+    def bound(start, end):  # on [start, end], each component at its nearest point
+        return reduce(add, [max(c.weight, 0.0) * voigt_density(
+            c.natural_halfwidth, min(max(c.center, start), end) - c.center, c.doppler_scale)
+            for c in components])
+
+    return (x0, h, r) if bound(lo, left) < h and bound(right, hi) < h else None

@@ -25,7 +25,8 @@ math.exp and numpy.exp differ in the last bit on some arguments.
 
 Off the axis, from y = 1e-6 up, Re w is exact to 1e-13; Im z < 0 is
 rejected.  elementwise is the package's one driver from a kernel to an
-array: every closed form passes it a float and a 1-D block function.
+array: a 0-d argument takes a closed form's float function, any other its
+1-D block function.
 """
 
 from __future__ import annotations
@@ -78,11 +79,7 @@ _WEIDEMAN = _series(_P2)
 _SERIES = _series(_ASYMPTOTIC)
 _R2_FAR = 64.0    # |z|**2 from which the asymptotic series is used
 _Y_SMALL = 1e-3   # below this y (and |z| < 8) the Taylor series is used
-# elementwise evaluates arrays in blocks of at most _BLOCK points, which
-# keeps a kernel's two dozen temporaries in cache, and element by element
-# below _SCALAR_MAX points, where numpy's per-call cost exceeds the arithmetic.
-_BLOCK = 8192
-_SCALAR_MAX = 64
+_BLOCK = 8192     # elementwise's slice, which keeps a kernel's temporaries in cache
 
 
 def _poly(series, vr, vi):
@@ -212,12 +209,12 @@ def elementwise(scalar, block, *args):
     """scalar(*floats) or block(*arrays) at every element of the arguments,
     broadcast against each other, in one float64 array of their shape.
 
-    A 0-d broadcast returns scalar's Python number itself, and under
-    _SCALAR_MAX points each element is a scalar call.  Otherwise block runs
-    on consecutive slices of at most _BLOCK points of the flattened
-    arguments, with overflow and invalid operations silenced as in Python
-    floats; an argument the broadcast repeats along some but not all of its
-    axes is flattened by a copy.  The two functions must agree elementwise.
+    A 0-d broadcast returns scalar's Python number itself; any other shape,
+    one point included, runs block on consecutive slices of at most _BLOCK
+    points of the flattened arguments, with overflow and invalid operations
+    silenced as in Python floats.  An argument the broadcast repeats along
+    some but not all of its axes is flattened by a copy.  The two functions
+    must agree elementwise.
     """
     args = [np.asarray(a, dtype=float) for a in args]
     shape = np.broadcast(*args).shape
@@ -225,9 +222,6 @@ def elementwise(scalar, block, *args):
         return scalar(*map(float, args))
     flat = [np.broadcast_to(a, shape).reshape(-1) for a in args]
     out = np.empty(flat[0].size)
-    if out.size < _SCALAR_MAX:
-        out[:] = [scalar(*v) for v in zip(*(a.tolist() for a in flat))]
-        return out.reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, out.size, _BLOCK):
             out[i:i + _BLOCK] = block(*(a[i:i + _BLOCK] for a in flat))

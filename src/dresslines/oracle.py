@@ -385,12 +385,11 @@ def _velocity_route(components, scheme, drive, probe, ensemble, grid):
     comps = components(scheme, drive, probe, ensemble)
     d = _pole_distance([c.natural_halfwidth for c in comps],
                        [c.doppler_scale for c in comps])
-    ref = np.array([
-        velocity_average(_lorentzian_sum(comps, x), ensemble,
-                         drive.k, probe.k_mu, probe.theta, pole_distance=d)
-        for x in grid
-    ])
-    return np.atleast_1d(dop.density_sum(comps, grid)), ref
+    closed, ref = zip(*[(dop.density_sum(comps, float(x)),
+                         velocity_average(_lorentzian_sum(comps, x), ensemble, drive.k,
+                                          probe.k_mu, probe.theta, pole_distance=d))
+                        for x in grid])
+    return np.array(closed), np.array(ref)
 
 
 _VELOCITY = ("trapezoidal quadrature", _velocity_route)

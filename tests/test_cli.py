@@ -803,6 +803,25 @@ def test_finite_extreme_values_are_a_regime_failure(tmp_path, capsys, job, cfg):
     assert err.count("\n") == 1
 
 
+def test_a_doppler_scale_too_small_to_divide_the_detuning_gives_lorentzians(tmp_path):
+    # at vbar = 1e-307 the scales are about 2e-307, so x/s overflows at
+    # |x| > 36: there the density, once nan, is the sum of the Lorentzians
+    cfg = small_config("doppler", 0.5, 30.0)
+    cfg["ensemble"]["vbar"] = 1e-307
+    path = write_config(tmp_path, "tiny.json", cfg)
+    assert main(["doppler", "--config", str(path), "--out", str(tmp_path)]) == 0
+    x, w = np.loadtxt(tmp_path / "tiny.csv", delimiter=",", skiprows=1).T
+    comps = weak_doublet_components(LevelScheme(**SCHEME), DriveField(G=0.5, Omega=30.0, k=2.0),
+                                    ProbeField(G_mu=1e-3, k_mu=2.0, theta=1.0),
+                                    ThermalEnsemble(vbar=1e-307))
+    lorentzians = sum(c.weight * c.natural_halfwidth / (c.natural_halfwidth ** 2
+                                                        + (x - c.center) ** 2) for c in comps)
+    assert np.isfinite(w).all()
+    assert w == pytest.approx(lorentzians, rel=1e-12)
+    summary = json.loads((tmp_path / "tiny_summary.json").read_text())
+    assert all(c["area"] > 0.0 for c in summary["components"])
+
+
 def test_no_float_leaf_breaks_the_exit_contract(tmp_path, capsys):
     # every float leaf of SWEEP_BASES in turn at each of SWEEP_VALUES: main
     # returns 0, 1 or 2, prints one stderr line on failure and none on

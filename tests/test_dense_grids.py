@@ -1,10 +1,11 @@
 """The closed forms on every shape faddeeva.elementwise tells apart.
 
-A 0-d array takes the float path, an array of fewer than
-faddeeva._SCALAR_MAX points the float path element by element, and a
-larger one the block path, in blocks of at most faddeeva._BLOCK points.
-Every element must equal its own float call bit for bit on each side of
-those edges, and a 2^20-point call may allocate little beyond its output.
+A 0-d array takes the float path, and every other array the block path,
+in blocks of at most faddeeva._BLOCK points.  Every element must equal its
+own float call bit for bit at one point, on each side of the block edges,
+and at 63 and 64 points (ids scalar_max-1 and scalar_max), the edge of the
+element-by-element tier the driver once had.  A 2^20-point call may
+allocate little beyond its output.
 """
 
 import tracemalloc
@@ -32,7 +33,7 @@ from dresslines.doppler import (
     strong_doublet_components,
     triplet_components,
 )
-from dresslines.faddeeva import _BLOCK, _SCALAR_MAX
+from dresslines.faddeeva import _BLOCK
 
 SCHEME = LevelScheme(gamma_m=1.0, gamma_n=2.0, gamma_l=0.5)
 DRIVE = DriveField(G=3.0, Omega=4.0, k=2.0)
@@ -91,7 +92,7 @@ FORMS = {
 FLOAT_CALLS = {"voigt_density_rows": voigt_rows_floats}
 
 
-@pytest.mark.parametrize("shape", [(), (1,), (_SCALAR_MAX - 1,), (_SCALAR_MAX,),
+@pytest.mark.parametrize("shape", [(), (1,), (63,), (64,),
                                    (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,),
                                    (3 * _BLOCK + 5,), (3, _BLOCK + 1)],
                          ids=["0-d", "one", "scalar_max-1", "scalar_max", "block-1", "block",

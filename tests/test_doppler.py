@@ -109,6 +109,20 @@ def test_voigt_density_lorentzian_branch():
     assert np.allclose(got, 0.7 / (0.49 + xs**2), rtol=1e-15)
 
 
+# (a, x, s) where x/s or a/s overflows, or 1/s does: the Lorentzian is exact
+TINY_SCALES = [(0.5, 80.0, 2e-307), (0.5, -80.0, 2e-307), (2.0, 0.0, 1e-308),
+               (0.5, 3.0, 5e-324), (1.0, 1e300, 1e-10)]
+
+
+@pytest.mark.parametrize("a,x,s", TINY_SCALES)
+def test_voigt_density_is_the_lorentzian_where_the_scale_cannot_divide(a, x, s):
+    lorentzian = a / (a * a + x * x)
+    assert voigt_density(a, x, s) == lorentzian
+    # on the array path, beside a Voigt and a zero scale in the same block
+    got = voigt_density(np.array([a, 1.0, a]), np.array([x, 0.5, x]), np.array([s, 1.0, 0.0]))
+    assert got.tolist() == [lorentzian, voigt_density(1.0, 0.5, 1.0), lorentzian]
+
+
 def test_voigt_density_limits():
     # Narrow Doppler: within 1% of the Lorentzian over +-10 half-widths.
     a, s = 1.0, 0.01

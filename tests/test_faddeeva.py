@@ -112,6 +112,31 @@ def test_wofz_keeps_shape_and_returns_complex_for_a_scalar():
     assert wofz(np.zeros(0)).shape == (0,) and wofz(np.zeros(0)).dtype == complex
 
 
+@pytest.mark.parametrize("shape,blocks", [((), []), ((1,), [1]), ((63,), [63]), ((64,), [64]),
+                                          ((2, 3), [6]),
+                                          ((faddeeva._BLOCK + 1,), [faddeeva._BLOCK, 1])],
+                         ids=["0-d", "one", "63", "64", "2x3", "block+1"])
+def test_elementwise_takes_scalar_for_0d_and_block_for_every_array(shape, blocks):
+    calls = []
+
+    def scalar(x):
+        calls.append("scalar")
+        return 2.0 * x
+
+    def block(x):
+        calls.append(x.size)
+        return 2.0 * x
+
+    x = np.full(shape, 1.5)
+    got = faddeeva.elementwise(scalar, block, x)
+    if shape:
+        assert calls == blocks
+        assert got.shape == shape and (got == 3.0).all()
+    else:
+        assert calls == ["scalar"]
+        assert type(got) is float and got == 3.0
+
+
 halfwidth = log_uniform(1e-3, 1e2)
 scale = st.one_of(st.just(0.0), log_uniform(1e-3, 1e2))
 component = st.builds(DopplerComponent, label=st.just("c"),

@@ -308,6 +308,44 @@ def test_component_peak_matches_the_generic_measures(case):
             assert got["area"] == pytest.approx(generic["area"], rel=2e-10)
 
 
+def array_side_bounds(components, lo, left, right, hi):
+    """component_peak's side bounds as one (k, 2) array call: each
+    component's weight (taken as >= 0) times its Voigt at the point of
+    [lo, left] and of [right, hi] nearest its center, summed over k."""
+    def column(field):
+        return np.reshape([getattr(c, field) for c in components], (len(components), 1))
+
+    centers = column("center")
+    near = np.clip(centers, [lo, right], [left, hi])
+    sides = voigt_density(column("natural_halfwidth"), near - centers, column("doppler_scale"))
+    return (np.maximum(column("weight"), 0.0) * sides).sum(axis=0)
+
+
+@PROPERTY
+@given(lines=st.lists(st.tuples(st.floats(min_value=-4.0, max_value=4.0),
+                                st.floats(min_value=0.25, max_value=1.0),
+                                st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=2.0)),
+                                st.floats(min_value=-10.0, max_value=10.0)),  # signed weights
+                      min_size=1, max_size=3),
+       own=st.integers(min_value=0, max_value=2),
+       margins=st.tuples(st.floats(min_value=0.0, max_value=8.0),
+                         st.floats(min_value=0.0, max_value=8.0)))
+# a weak line beside a strong one: the strong line's side bound decides
+@example(lines=[(0.0, 1.0, 0.0, 10.0), (3.0, 1.0, 0.0, 0.05)], own=1, margins=(4.0, 4.0))
+def test_float_side_bounds_give_the_array_bounds_verdict(lines, own, margins):
+    comps = [component(c, a, s, weight) for c, a, s, weight in lines]
+    own = comps[own % len(comps)]
+    lo, hi = own.center - margins[0], own.center + margins[1]
+    r = own.natural_halfwidth + math.sqrt(math.log(2.0)) * own.doppler_scale
+    left, right = max(lo, own.center - r), min(hi, own.center + r)
+    h = dop._refine(lambda x: density_sum(comps, x), left, right)[1]
+    verdict = bool((array_side_bounds(comps, lo, left, right, hi) < h).all())
+    got = dop.component_peak(comps, own, lo, hi)
+    assert (got is not None) == verdict
+    if verdict:
+        assert got[1:] == (h, r)
+
+
 def mp_voigt_fwhm(a, s):
     """Twice the 50-digit half-maximum crossing of Re w((x + ia)/s)."""
     with mpmath.workdps(50):

@@ -5,8 +5,8 @@ detuning at a time, so voigt_density, DopplerComponent.density,
 w_mu_exact and w_mu_weak evaluate a float argument in Python floats (and one
 complex wofz argument).  These properties require the result to be a Python
 float equal, bit for bit, to the same detuning evaluated through a
-one-element array and through an array of faddeeva._SCALAR_MAX points,
-the smallest that takes the block path.
+one-element array and through an array of 64 points, both of which take
+the block path.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from dresslines import DriveField, LevelScheme, ProbeField, w_mu_exact, w_mu_weak
 from dresslines.doppler import DopplerComponent, voigt_density
 from dresslines.dressed import dressed_exponents
-from dresslines.faddeeva import _SCALAR_MAX
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None)
 
@@ -28,11 +27,11 @@ doppler_scale = st.one_of(st.just(0.0), magnitude)
 
 def scalar_equals_array(f, x):
     """f(x) for a float x is a Python float equal to f([x])[0] and to every
-    element of f at _SCALAR_MAX copies of x."""
+    element of f at 64 copies of x."""
     scalar = f(x)
     assert type(scalar) is float
     assert scalar == f(np.array([x]))[0]
-    assert f(np.full(_SCALAR_MAX, x)).tolist() == [scalar] * _SCALAR_MAX
+    assert f(np.full(64, x)).tolist() == [scalar] * 64
     assert f(np.float64(x)) == scalar  # np.float64 counts as a float
     return scalar
 
