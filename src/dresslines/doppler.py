@@ -54,7 +54,12 @@ def effective_q(k: float, k_mu: float, theta: float, M: float) -> float:
         raise ValueError("theta must lie in [0, pi]")
     if not 0.0 <= M <= 1.0:
         raise ValueError("M must lie in [0, 1]")
-    return math.sqrt((k_mu - M * k) ** 2 + 4.0 * M * k * k_mu * math.sin(theta / 2.0) ** 2)
+    d, half = k_mu - M * k, math.sin(theta / 2.0)
+    try:
+        q = math.sqrt(d ** 2 + 4.0 * M * k * k_mu * half ** 2)
+    except OverflowError:  # d**2 leaves the float range, where q need not
+        q = math.inf
+    return q if q < math.inf else math.hypot(d, 2.0 * half * math.sqrt(M * k) * math.sqrt(k_mu))
 
 
 def voigt_density(natural_halfwidth, detuning, doppler_scale):
@@ -83,7 +88,7 @@ def voigt_density(natural_halfwidth, detuning, doppler_scale):
         raise ValueError("natural_halfwidth must be > 0")
     if not (s >= 0).all():
         raise ValueError("doppler_scale must be >= 0")
-    return elementwise(_voigt, _voigt_block, a, detuning, s)
+    return elementwise(_voigt_block, a, detuning, s)
 
 
 def _voigt(a: float, x: float, s: float) -> float:
@@ -144,8 +149,7 @@ def density_sum(components, Omega_mu):
     """
     if isinstance(Omega_mu, float):
         return _float_sum(components, float(Omega_mu))
-    return elementwise(partial(_float_sum, components), partial(_block_sum, components),
-                       Omega_mu)
+    return elementwise(partial(_block_sum, components), Omega_mu)
 
 
 def _float_sum(components, x):
@@ -237,18 +241,17 @@ def weak_doublet_gaussian(
 
     Valid when every Doppler scale far exceeds the natural widths; provided
     for regime studies and certified against the full form at the percent
-    level in its domain.  A float Omega_mu returns a Python float; an array
-    goes through faddeeva.elementwise, block by block.
+    level in its domain.  Omega_mu goes through faddeeva.elementwise, block
+    by block, so a float returns a Python float, a one-point block.
     """
     comps = weak_doublet_components(scheme, drive, probe, ensemble, kind)
     if any(c.doppler_scale == 0.0 for c in comps):
         raise RegimeError("Gaussian form undefined for a zero Doppler scale")
-    gaussians = partial(_gaussian_sum, comps)
-    return elementwise(lambda x: float(gaussians(x)), gaussians, Omega_mu)
+    return elementwise(partial(_gaussian_sum, comps), Omega_mu)
 
 
 def _gaussian_sum(components, x):
-    """The components as pure Gaussians, at a Python float or a 1-D array x."""
+    """The components as pure Gaussians, at a 1-D array x."""
     out = 0.0
     for c in components:
         u = (x - c.center) / c.doppler_scale

@@ -23,10 +23,13 @@ numpy's vectorized complex multiply fuses its products where Python's does
 not.  The one transcendental, exp(-x**2), is numpy's on both paths, as
 math.exp and numpy.exp differ in the last bit on some arguments.
 
-Off the axis, from y = 1e-6 up, Re w is exact to 1e-13; Im z < 0 is
-rejected.  elementwise is the package's one driver from a kernel to an
-array: a 0-d argument takes a closed form's float function, any other its
-1-D block function.
+Off the axis, from y = 1e-6 up, Re w is within 1e-11 of its exact value,
+relative: against 40-digit mpmath the worst is 5.6e-12, at y = 1e-3 and
+|x| near 5.2, in the rational form just above _Y_SMALL, where Re w is far
+below |w|.  The error falls as 1/y, to 5e-13 at y = 1e-2; the other forms
+stay below 2e-13.  Im z < 0 is rejected.  elementwise, the package's one
+driver from a kernel to an array, runs its 1-D block function on every
+shape, a 0-d argument as a one-point block.
 """
 
 from __future__ import annotations
@@ -205,39 +208,36 @@ def w_block(x, y):
     return re, im
 
 
-def elementwise(scalar, block, *args):
-    """scalar(*floats) or block(*arrays) at every element of the arguments,
-    broadcast against each other, in one float64 array of their shape.
-
-    A 0-d broadcast returns scalar's Python number itself; any other shape,
-    one point included, runs block on consecutive slices of at most _BLOCK
-    points of the flattened arguments, with overflow and invalid operations
-    silenced as in Python floats.  An argument the broadcast repeats along
-    some but not all of its axes is flattened by a copy.  The two functions
-    must agree elementwise.
+def elementwise(block, *args):
+    """block(*arrays) at every element of the arguments, broadcast against
+    each other, on consecutive slices of at most _BLOCK points of their
+    flattening, with overflow and invalid operations silenced as in Python
+    floats: a float64 array of their shape, or a Python float for a 0-d
+    broadcast, one slice of one point.  An argument the broadcast repeats
+    along some but not all of its axes is flattened by a copy.
     """
     args = [np.asarray(a, dtype=float) for a in args]
     shape = np.broadcast(*args).shape
-    if not shape:
-        return scalar(*map(float, args))
     flat = [np.broadcast_to(a, shape).reshape(-1) for a in args]
     out = np.empty(flat[0].size)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, out.size, _BLOCK):
             out[i:i + _BLOCK] = block(*(a[i:i + _BLOCK] for a in flat))
-    return out.reshape(shape)
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def wofz(z):
     """The Faddeeva function w(z) = exp(-z**2)*erfc(-i*z) for Im z >= 0.
 
-    Scalar in, Python complex out; arrays keep their shape.  Re w and Im w
-    are two float passes of elementwise.  Arguments with Im z < 0, where w
-    grows as exp(-z**2), are rejected.
+    A 0-d z runs w_scalar once and returns a Python complex; an array keeps
+    its shape, from two float passes of elementwise, Re w and Im w.
+    Arguments with Im z < 0, where w grows as exp(-z**2), are rejected.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag < 0):
         raise ValueError("wofz requires Im z >= 0")
-    re, im = (elementwise(lambda x, y: w_scalar(x, y)[j], lambda x, y: w_block(x, y)[j],
-                          z.real, z.imag) for j in (0, 1))
+    if not z.shape:
+        re, im = w_scalar(float(z.real), float(z.imag))
+    else:
+        re, im = (elementwise(lambda x, y: w_block(x, y)[j], z.real, z.imag) for j in (0, 1))
     return re + 1j * im

@@ -91,8 +91,7 @@ def w_mu_exact(scheme, drive, probe, Omega_mu):
     k = (Om, G2, Gamma, r1, r2, p, c, p * r2 - c * Gamma, -2.0 * abs(probe.G_mu) ** 2)
     if isinstance(Omega_mu, float):
         return _exact(float(Omega_mu), k)
-    form = partial(_exact, k=k)
-    return elementwise(form, form, Omega_mu)
+    return elementwise(partial(_exact, k=k), Omega_mu)
 
 
 def _exact(x, k):
@@ -139,7 +138,7 @@ def w_mu_weak(scheme, drive, probe, Omega_mu):
     in its numerator, not between two rounded terms, so the far wings keep
     their relative accuracy; beyond |x| = 1.3e154, where x**2 overflows,
     the density reads 0.  Omega_mu goes through faddeeva.elementwise, so a
-    float returns a Python float, bit-identical to the array path.  The
+    float returns a Python float, from a one-point block.  The
     formula is evaluated regardless of regime; callers judge validity
     through the breakdown's coupling_ratio.  Raises RegimeError only where
     the expression itself is singular (gamma_m = gamma_n and Omega = 0).
@@ -167,12 +166,11 @@ def w_mu_weak(scheme, drive, probe, Omega_mu):
         coupling_ratio=weak_field_ratio(scheme, drive),
     )
     k = (Om, gl + gm, gl + gn, breakdown.stepwise, breakdown.raman)
-    form = partial(_weak, k=k)
-    return elementwise(form, form, Omega_mu), breakdown
+    return elementwise(partial(_weak, k=k), Omega_mu), breakdown
 
 
 def _weak(x, k):
-    """w_mu_weak's density at a float or a 1-D array x, from its constants k;
+    """w_mu_weak's density at a 1-D array x, from its constants k;
     Im S*(x*i1 - y*i2) = Im S*(x*a2**2 - y*a1**2 - Omega*x*y)*i1*i2."""
     Om, a1, a2, S, R = k
     y = x - Om

@@ -1,11 +1,12 @@
-"""The closed forms on every shape faddeeva.elementwise tells apart.
+"""The closed forms on every shape faddeeva.elementwise meets.
 
-A 0-d array takes the float path, and every other array the block path,
-in blocks of at most faddeeva._BLOCK points.  Every element must equal its
-own float call bit for bit at one point, on each side of the block edges,
-and at 63 and 64 points (ids scalar_max-1 and scalar_max), the edge of the
-element-by-element tier the driver once had.  A 2^20-point call may
-allocate little beyond its output.
+Every shape takes the block path, in blocks of at most faddeeva._BLOCK
+points, a 0-d array as one block of one point.  Every element must equal
+its own float call bit for bit at one point, on each side of the block
+edges, and at 63 and 64 points (ids scalar_max-1 and scalar_max), the edge
+of the element-by-element tier the driver once had.  A 0-d call returns a
+Python number, the bits of its one-element array call.  A 2^20-point call
+may allocate little beyond its output.
 """
 
 import tracemalloc
@@ -118,6 +119,23 @@ DENSE = {
     "fluorescence_triplet": lambda x: fluorescence_triplet(SCHEME, DRIVE, PROBE, ENSEMBLE, x),
     "weak_doublet_gaussian": FORMS["weak_doublet_gaussian"],
 }
+
+
+# every public form at a float, np.float64 and 0-d array argument; wofz_form's
+# imaginary part overflows at the two extremes, so wofz takes the first three
+PUBLIC = {name: f for name, f in {**FORMS, **DENSE}.items() if name != "voigt_density_rows"}
+ZERO_D = [(form, v) for form in PUBLIC for v in (0.0, -7.3, 41.5, 1e160, -1e200)
+          if form != "wofz" or abs(v) < 1e3]
+
+
+@pytest.mark.parametrize("form,v", ZERO_D)
+def test_a_0d_call_is_its_one_element_array_call(form, v):
+    f = PUBLIC[form]
+    one = f(np.array([v]))
+    for arg in (v, np.float64(v), np.array(v)):
+        got = f(arg)
+        assert type(got) is (complex if form == "wofz" else float)
+        assert np.array([got]).tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("form", DENSE)

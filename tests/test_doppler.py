@@ -103,6 +103,25 @@ def test_effective_q_domain():
             effective_q(*args)
 
 
+def test_effective_q_where_the_difference_squared_overflows():
+    # (k_mu - M*k)**2 leaves the float range past about 1.3e154, q does not
+    assert effective_q(1e160, 1.0, 0.5, 0.5) == 5e159
+    assert effective_q(1e200, 3e200, 1.0, 0.5) == pytest.approx(2.762e200, rel=1e-3)
+    for scale in (1e160, 1e200, 1e300):
+        for k, k_mu, theta, M in ((1.0, 3.0, 1.0, 0.5), (2.0, 0.5, 3.0, 1.0), (5.0, 1.0, 0.2, 0.0)):
+            q = effective_q(scale * k, scale * k_mu, theta, M)
+            assert q == pytest.approx(scale * effective_q(k, k_mu, theta, M), rel=1e-14)
+
+
+def test_effective_q_keeps_the_squared_form_where_it_is_finite():
+    draw = np.random.default_rng(154)
+    for _ in range(2000):
+        k, k_mu = np.exp(draw.uniform(-300.0, 300.0, 2)).tolist()
+        theta, M = draw.uniform(0.0, math.pi), draw.choice([0.0, 1.0, draw.uniform()])
+        squared = math.sqrt((k_mu - M * k) ** 2 + 4.0 * M * k * k_mu * math.sin(theta / 2.0) ** 2)
+        assert effective_q(k, k_mu, theta, M) == squared
+
+
 def test_voigt_density_lorentzian_branch():
     xs = np.linspace(-10.0, 10.0, 41)
     got = voigt_density(0.7, xs, 0.0)

@@ -2,12 +2,14 @@
 
 scipy.special.wofz is kept here as a test-only reference, the way
 test_measurement.py keeps scipy's brentq: the package itself imports no
-scipy outside certify.  Every float and array evaluation must agree bit
+scipy outside certify.  The module's stated accuracy is checked against
+40-digit mpmath.  Every float and array evaluation must agree bit
 for bit, so that a batched density_sum equals its per-element float calls.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -39,6 +41,50 @@ def test_coefficients_follow_weidemans_recipe():
     a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
     assert faddeeva._L == L
     np.testing.assert_allclose(faddeeva._P2, 2 * a[1:n + 1], rtol=0, atol=1e-16)
+
+
+def mp_real_w(x, y):
+    """Re w(x + iy) at 40 digits."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(x, y)
+        return float((mpmath.exp(-z * z) * mpmath.erfc(-1j * z)).real)
+
+
+def assert_real_part_within(x, y, bound):
+    got = wofz(x + 1j * y).real
+    for g, a, b in zip(got.tolist(), x.tolist(), y.tolist()):
+        ref = mp_real_w(a, b)
+        assert abs(g - ref) <= bound * abs(ref), (a, b, relative(g, ref))
+
+
+# the module's stated bounds, Re w off the axis against 40 digits: 1e-11 in
+# the rational form just above the switch to the Taylor series, 1e-3 <= y <=
+# 1e-2 and |x| < 8, and 2e-13 in the Taylor and asymptotic forms
+BAND = 1e-11
+OTHER_FORMS = 2e-13
+
+
+def test_real_part_at_the_worst_points_of_the_band_near_the_axis():
+    x = np.array([-5.17286, -7.1913, 4.0, 5.0])
+    y = np.array([0.00100852, 0.00164415, 0.0011, 0.01])
+    assert_real_part_within(x, y, BAND)
+
+
+def test_real_part_in_the_band_near_the_axis():
+    rng = np.random.default_rng(1497)
+    x = rng.uniform(-8.0, 8.0, 300)
+    y = np.exp(rng.uniform(math.log(1e-3), math.log(1e-2), x.size))
+    assert_real_part_within(x, y, BAND)
+
+
+def test_real_part_in_the_taylor_and_asymptotic_forms():
+    rng = np.random.default_rng(1994)
+    near = (rng.uniform(-8.0, 8.0, 200), np.exp(rng.uniform(math.log(1e-6), math.log(1e-3), 200)))
+    wing = (rng.choice([-1.0, 1.0], 200) * rng.uniform(8.0, 50.0, 200),
+            np.exp(rng.uniform(math.log(1e-6), 0.0, 200)))
+    far = (rng.uniform(-200.0, 200.0, 200), np.exp(rng.uniform(math.log(8.0), math.log(1e3), 200)))
+    for x, y in (near, wing, far):
+        assert_real_part_within(x, y, OTHER_FORMS)
 
 
 @PROPERTY
@@ -112,28 +158,22 @@ def test_wofz_keeps_shape_and_returns_complex_for_a_scalar():
     assert wofz(np.zeros(0)).shape == (0,) and wofz(np.zeros(0)).dtype == complex
 
 
-@pytest.mark.parametrize("shape,blocks", [((), []), ((1,), [1]), ((63,), [63]), ((64,), [64]),
+@pytest.mark.parametrize("shape,blocks", [((), [1]), ((1,), [1]), ((63,), [63]), ((64,), [64]),
                                           ((2, 3), [6]),
                                           ((faddeeva._BLOCK + 1,), [faddeeva._BLOCK, 1])],
                          ids=["0-d", "one", "63", "64", "2x3", "block+1"])
-def test_elementwise_takes_scalar_for_0d_and_block_for_every_array(shape, blocks):
+def test_elementwise_takes_block_for_every_shape_and_a_0d_one_as_one_point(shape, blocks):
     calls = []
-
-    def scalar(x):
-        calls.append("scalar")
-        return 2.0 * x
 
     def block(x):
         calls.append(x.size)
         return 2.0 * x
 
-    x = np.full(shape, 1.5)
-    got = faddeeva.elementwise(scalar, block, x)
+    got = faddeeva.elementwise(block, np.full(shape, 1.5))
+    assert calls == blocks
     if shape:
-        assert calls == blocks
         assert got.shape == shape and (got == 3.0).all()
     else:
-        assert calls == ["scalar"]
         assert type(got) is float and got == 3.0
 
 
